@@ -11,7 +11,6 @@
 #include <benchmark/benchmark.h>
 
 #include "base/random.hh"
-#include "harness/serialize.hh"
 #include "lsu/spct.hh"
 #include "lsu/store_sets.hh"
 #include "rle/integration_table.hh"
@@ -118,35 +117,5 @@ BM_IntegrationTableLookup(benchmark::State &state)
     benchmark::DoNotOptimize(acc);
 }
 BENCHMARK(BM_IntegrationTableLookup);
-
-/**
- * Sweep-engine worker wire format: serialize + parse of one per-cell
- * RunResult record. This bounds the pool's per-cell protocol overhead
- * (it must stay negligible next to even a --quick simulation cell).
- */
-static void
-BM_CellRecordRoundTrip(benchmark::State &state)
-{
-    harness::CellRecord rec;
-    rec.cellIndex = 42;
-    rec.ok = true;
-    rec.seconds = 0.123456789012345;
-    rec.hostWallSeconds = 1.0 / 3.0;
-    rec.result.workload = "gzip";
-    rec.result.config = "SSQ+SVW+UPD";
-    rec.result.cycles = 54257;
-    rec.result.insts = 100000;
-    rec.result.ipc = 100000.0 / 54257.0;
-    rec.result.rexRate = 2.0 / 7.0;
-    bool acc = true;
-    for (auto _ : state) {
-        const std::string line = harness::cellRecordToLine(rec);
-        harness::CellRecord back;
-        acc &= harness::cellRecordFromLine(line, back);
-        benchmark::DoNotOptimize(back);
-    }
-    benchmark::DoNotOptimize(acc);
-}
-BENCHMARK(BM_CellRecordRoundTrip);
 
 BENCHMARK_MAIN();

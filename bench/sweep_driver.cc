@@ -9,11 +9,13 @@
  * so each populates the store with its groups' results; the driver
  * then re-invokes the binary once, unsharded, against the same cache.
  * That merge pass formats the full figure from pure cache reads —
- * zero simulations — and its output is byte-identical to a
- * single-process `--jobs=1` run by construction (the cache stores the
- * engine's lossless wire format). If a shard died, the merge pass
+ * zero simulations — and its output is byte-identical to a plain
+ * single-process run by construction (the cache stores the engine's
+ * lossless result format). If a shard died, the merge pass
  * transparently re-simulates the missing cells in-process, so the
  * report is still correct; the driver's exit status flags the failure.
+ * This is where crash isolation lives: a cell that kills its process
+ * takes down only its shard, never the report.
  *
  * Shards are local subprocesses by default. `--launch` is a command
  * template for wrapped or remote execution: `{cmd}` expands to the
@@ -25,16 +27,14 @@
  * filesystem. ssh is a template, not a dependency: nothing here
  * links or shells to it unless the template says so.
  *
- * usage: sweep_driver --bin=PATH [--shards=N] [--jobs=M | --threads=M]
+ * usage: sweep_driver --bin=PATH [--shards=N] [--threads=M]
  *                     [--cache-dir=D] [--launch=TEMPLATE]
  *                     [-- BENCH_ARGS...]
  *
  *   --bin=PATH      bench binary to drive (any of the 13)
  *   --shards=N      number of shard invocations (default 2)
- *   --jobs=M        worker processes per shard (default 1)
- *   --threads=M     worker threads per shard instead of processes
- *                   (mutually exclusive with --jobs>1, like the bench
- *                   binaries' own flags)
+ *   --threads=M     worker threads per shard (default 0 = each
+ *                   shard runs its cells in its calling thread)
  *   --cache-dir=D   shared result cache (default: a private temp
  *                   directory, removed after a fully successful run)
  *   --launch=T      shard command template (default "{cmd}" = local)
@@ -295,7 +295,7 @@ usage(const char *argv0, const char *complaint)
     std::fprintf(stderr,
                  "error: %s\n"
                  "usage: %s --bin=PATH [--shards=N]"
-                 " [--jobs=M | --threads=M]"
+                 " [--threads=M]"
                  " [--cache-dir=D] [--launch=TEMPLATE]"
                  " [-- BENCH_ARGS...]\n",
                  complaint, argv0);
@@ -309,7 +309,6 @@ main(int argc, char **argv)
 {
     std::string bin;
     unsigned shards = 2;
-    unsigned jobs = 1;
     unsigned threads = 0;
     std::string cacheDir;
     std::string launchTemplate = "{cmd}";
@@ -320,18 +319,17 @@ main(int argc, char **argv)
         if (a == "--") {
             for (int j = i + 1; j < argc; ++j) {
                 const std::string b = argv[j];
-                // The driver owns sharding, job count, and the cache;
+                // The driver owns sharding, thread count, and the cache;
                 // letting these through would poison the merge pass
                 // (a user --shard would make the "full" report
                 // partial, --no-cache would discard all shard work).
                 if (b.rfind("--shard=", 0) == 0 ||
-                    b.rfind("--jobs=", 0) == 0 ||
                     b.rfind("--threads=", 0) == 0 ||
                     b.rfind("--cache-dir=", 0) == 0 ||
                     b == "--no-cache") {
                     usage(argv[0],
                           (b + " is managed by the driver; use its"
-                               " --shards=N/--jobs=M/--threads=M/"
+                               " --shards=N/--threads=M/"
                                "--cache-dir=D flags (to bypass the"
                                " cache, run the bench binary directly)")
                               .c_str());
@@ -343,8 +341,6 @@ main(int argc, char **argv)
             bin = a.substr(6);
         } else if (a.rfind("--shards=", 0) == 0) {
             shards = parseFlagUnsigned(a.substr(9), "--shards");
-        } else if (a.rfind("--jobs=", 0) == 0) {
-            jobs = parseFlagUnsigned(a.substr(7), "--jobs");
         } else if (a.rfind("--threads=", 0) == 0) {
             threads = parseFlagUnsigned(a.substr(10), "--threads");
         } else if (a.rfind("--cache-dir=", 0) == 0) {
@@ -357,11 +353,8 @@ main(int argc, char **argv)
     }
     if (bin.empty())
         usage(argv[0], "--bin is required");
-    if (shards < 1 || jobs < 1)
-        usage(argv[0], "need --shards>=1 and --jobs>=1");
-    if (jobs > 1 && threads > 0)
-        usage(argv[0], "--jobs and --threads are mutually exclusive;"
-                       " pick processes or threads per shard");
+    if (shards < 1)
+        usage(argv[0], "need --shards>=1");
     if (launchTemplate.find("{cmd}") == std::string::npos &&
         launchTemplate.find("{qcmd}") == std::string::npos) {
         usage(argv[0],
@@ -414,11 +407,8 @@ main(int argc, char **argv)
     std::vector<Shard> procs(shards);
     std::vector<std::string> logs(shards);
     for (unsigned i = 0; i < shards; ++i) {
-        const std::string parallelFlag =
-            threads > 0 ? " --threads=" + std::to_string(threads)
-                        : " --jobs=" + std::to_string(jobs);
         const std::string shardCmd =
-            base + " --progress" + parallelFlag +
+            base + " --progress --threads=" + std::to_string(threads) +
             " --shard=" + std::to_string(i) + "/" +
             std::to_string(shards);
         // Expand {i}/{n} on the template BEFORE inserting the quoted

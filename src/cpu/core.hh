@@ -98,41 +98,11 @@ struct RunOutcome
 class Core
 {
   public:
-    /**
-     * @p sharedImage, when non-null, backs the committed memory
-     * instead of a private copy of the program's initial segments
-     * (func/memory_image.hh setBacking — copy-on-write, never
-     * mutated). It must be exactly the image loadProgram(prog) would
-     * build and must outlive the core. Batched co-simulation shares
-     * one image across every lane of a workload; simulated state and
-     * timing are identical either way.
-     */
     Core(const CoreParams &params, const Program &prog,
-         stats::StatRegistry &reg,
-         const MemoryImage *sharedImage = nullptr);
+         stats::StatRegistry &reg);
 
     /** Run until Halt commits or a cap is reached. */
     RunOutcome run(std::uint64_t maxInsts, std::uint64_t maxCycles);
-
-    /**
-     * Bounded run slice: tick up to @p quantum cycles toward run()'s
-     * terminal condition. The batched executor interleaves slices of
-     * K lanes so their working sets stay co-resident; a sliced run
-     * retires exactly the same cycles as one run() call.
-     * @return true once finished (halt / instruction / cycle cap).
-     */
-    bool advance(std::uint64_t maxInsts, std::uint64_t maxCycles,
-                 std::uint64_t quantum);
-
-    /** Aggregate outcome so far (valid any time ticking is stopped). */
-    RunOutcome outcome() const
-    {
-        RunOutcome out;
-        out.halted = haltCommitted;
-        out.cycles = now;
-        out.instructions = retired.value();
-        return out;
-    }
 
     /** Advance a single cycle (exposed for tests and injectors). */
     void tick();

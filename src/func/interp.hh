@@ -46,15 +46,6 @@ class Interp
   public:
     explicit Interp(const Program &prog);
 
-    /**
-     * Share an already-loaded program image instead of copying the
-     * initial segments (batched co-simulation: one image backs every
-     * lane's golden model and committed state). @p sharedImage must be
-     * exactly the image loadProgram would build for @p prog and must
-     * outlive the interpreter; it is never written (copy-on-write).
-     */
-    Interp(const Program &prog, const MemoryImage *sharedImage);
-
     /** Execute one instruction. @return false once halted. */
     bool step();
 

@@ -8,15 +8,6 @@
 
 namespace svw {
 
-void
-MemoryImage::setBacking(const MemoryImage *base)
-{
-    svw_assert(pages.empty(), "setBacking on a written image");
-    svw_assert(!base || !base->backing, "backing images must be flat");
-    backing = base;
-    clear();  // drop any cached lookups into a previous backing
-}
-
 MemoryImage::Page *
 MemoryImage::findPage(Addr pageNum) const
 {
@@ -26,60 +17,26 @@ MemoryImage::findPage(Addr pageNum) const
     if (e.pageNum == pageNum) {
         lastPageNum = pageNum;
         lastPage = e.page;
-        lastOwned = e.owned;
         return e.page;
     }
     auto it = pages.find(pageNum);
-    if (it == pages.end()) {
-        // Absence is not cached: a write may create the page. A
-        // backing page *is* cached (marked not-owned so getPage never
-        // writes through it); the copy-on-write path replaces the
-        // cache entry with the owned copy.
-        if (backing) {
-            auto bit = backing->pages.find(pageNum);
-            if (bit != backing->pages.end()) {
-                Page *bp = bit->second.get();
-                cachePage(pageNum, bp, false);
-                return bp;
-            }
-        }
-        return nullptr;
-    }
+    if (it == pages.end())
+        return nullptr;  // absence is not cached: a write may create it
     Page *p = it->second.get();
-    cachePage(pageNum, p, true);
+    cachePage(pageNum, p);
     return p;
 }
 
 MemoryImage::Page &
 MemoryImage::getPage(Addr pageNum)
 {
-    Page *p = findPage(pageNum);
-    if (p && lastOwned)
+    if (Page *p = findPage(pageNum))
         return *p;
-    // Absent, or present only in the read-only backing: materialize an
-    // owned page (copy-on-write) and repoint the lookup caches at it.
     auto &slot = pages[pageNum];
     slot = std::make_unique<Page>();
-    if (p)
-        *slot = *p;
-    else
-        slot->fill(0);
-    cachePage(pageNum, slot.get(), true);
+    slot->fill(0);
+    cachePage(pageNum, slot.get());
     return *slot;
-}
-
-const MemoryImage::Page *
-MemoryImage::peekPage(Addr pageNum) const
-{
-    auto it = pages.find(pageNum);
-    if (it != pages.end())
-        return it->second.get();
-    if (backing) {
-        auto bit = backing->pages.find(pageNum);
-        if (bit != backing->pages.end())
-            return bit->second.get();
-    }
-    return nullptr;
 }
 
 std::uint64_t
@@ -159,29 +116,13 @@ MemoryImage::loadProgram(const Program &prog)
 bool
 MemoryImage::identicalTo(const MemoryImage &other) const
 {
-    static const Page zeroPage = [] { Page p; p.fill(0); return p; }();
     auto covered = [](const MemoryImage &a, const MemoryImage &b) {
-        auto match = [&](Addr pn, const Page *pa) {
-            const Page *pb = b.peekPage(pn);
-            if (pa == pb)  // same physical page (shared backing)
-                return true;
-            if (!pa)
-                pa = &zeroPage;
-            if (!pb)
-                pb = &zeroPage;
-            return std::memcmp(pa->data(), pb->data(), pageBytes) == 0;
-        };
+        static const Page zeroPage = [] { Page p; p.fill(0); return p; }();
         for (const auto &[pn, page] : a.pages) {
-            if (!match(pn, page.get()))
+            auto it = b.pages.find(pn);
+            const Page &rhs = it == b.pages.end() ? zeroPage : *it->second;
+            if (std::memcmp(page->data(), rhs.data(), pageBytes) != 0)
                 return false;
-        }
-        if (a.backing) {
-            for (const auto &[pn, page] : a.backing->pages) {
-                if (a.pages.count(pn))
-                    continue;  // shadowed; compared above
-                if (!match(pn, page.get()))
-                    return false;
-            }
         }
         return true;
     };

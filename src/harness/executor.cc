@@ -1,6 +1,7 @@
 #include "harness/executor.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <utility>
 
@@ -42,17 +43,18 @@ ProgramCache::get(const std::string &workload, std::uint64_t targetInsts)
     return *slot->program;
 }
 
-ExecCounters &
-execCounters()
-{
-    static ExecCounters counters;
-    return counters;
-}
+namespace {
+
+// Atomic: worker threads bump it concurrently. Relaxed is enough — it
+// is test instrumentation, never synchronization.
+std::atomic<std::uint64_t> gCellRuns{0};
+
+} // namespace
 
 std::uint64_t
 runCellCalls()
 {
-    return execCounters().cellRuns();
+    return gCellRuns.load(std::memory_order_relaxed);
 }
 
 std::size_t
@@ -187,8 +189,7 @@ processProgramCache()
 {
     // Function-local static: built programs persist for the process
     // (bench binaries exit after a few sweeps; tests share workloads
-    // across many small sweeps). Pool workers fork with a snapshot of
-    // the parent's cache and extend their own copy.
+    // across many small sweeps).
     static ProgramCache cache;
     return cache;
 }
@@ -196,7 +197,7 @@ processProgramCache()
 CellOutcome
 runCell(const SweepCell &cell, ProgramCache &cache, bool profile)
 {
-    execCounters().addCellRuns(1);
+    gCellRuns.fetch_add(1, std::memory_order_relaxed);
     CellOutcome o;
     o.ran = true;
     const Program &prog = cache.get(cell.workload, cell.targetInsts);

@@ -2,46 +2,23 @@
  * @file
  * Sweep executor primitives: execution options, the per-cell runner
  * (runCell), the process-wide ProgramCache and in-memory result-cache
- * front, and the legacy one-shot runSweep entry point. Orchestration —
- * shard selection, cache probing, unit planning, the sequential /
- * thread-pool / fork-pool paths, and the streaming per-cell event API
- * — lives in harness/session.hh (SweepSession); runSweep is a thin
- * wrapper that opens a session and runs it to completion. A sweep runs
- * in-process (--jobs=1), across a pool of forked worker processes
- * (--jobs=N), or across a pool of worker threads in one address space
- * (--threads=N), with optional cross-machine sharding (--shard=i/n),
- * and merges per-cell results in spec order.
+ * front, and the one-shot runSweep entry point. Orchestration — shard
+ * selection, cache probing, the in-caller and worker-thread executors,
+ * and the streaming per-cell event API — lives in harness/session.hh
+ * (SweepSession); runSweep is a thin wrapper that opens a session and
+ * runs it to completion. A sweep runs its cells in the calling thread
+ * (--threads=0, the default) or on N worker threads in one address
+ * space (--threads=N), with optional cross-machine sharding
+ * (--shard=i/n), and merges per-cell results in spec order.
  *
- * Worker protocol (docs/ARCHITECTURE.md "Sweep engine"): the parent
- * forks N workers after the spec is built (so cells' hooks and configs
- * are inherited), plans the pending cells into co-simulation units
- * (harness/batch.hh planBatches; a unit is one cell, or up to --batch
- * compatible cells of one workload), then dynamically deals units to
- * idle workers over per-worker command pipes (an 8-byte little-endian
- * lane count, ~0 = quit, followed by that many 8-byte cell indices).
- * A worker executes each unit in isolation — runCell for singletons,
- * runBatch for wider units — and streams back one JSON line per cell
- * in unit order (harness/serialize.hh) on its result pipe. The parent
- * polls result pipes, stores outcomes by cell index, and deals the
- * next pending unit once a unit is fully reported. A crashed worker
- * fails only its in-flight unit's unreported cells; the parent reaps
- * it, records the failures, respawns a replacement, and the merged
- * report stays intact.
- *
- * Thread pool (docs/ARCHITECTURE.md "Thread-pool executor"): with
- * --threads=N the same planned units are pulled from a shared deque by
- * N std::thread workers running runCell/runBatch directly — no fork,
- * no pipes, no serialization. All workers share one ProgramCache (one
- * decode per (workload, insts) for the whole sweep, not per worker
- * process) and the process-wide in-memory ResultCache front. A unit
- * that throws fails only its own cells (recorded with the exception
- * text) and the worker thread moves on — the thread analogue of the
- * fork pool's exception containment; a unit that *crashes* the
- * process cannot be contained without fork. --jobs and --threads are
- * mutually exclusive ways to parallelize one sweep: --threads=N (N >=
- * 1) takes the thread pool, else --jobs=N (N > 1) takes the fork
- * pool; both > 1 together is an error. Merged results are
- * byte-identical across all modes and counts.
+ * Worker threads (docs/ARCHITECTURE.md "Sweep execution") share
+ * one ProgramCache (one decode per (workload, insts) for the whole
+ * sweep) and the process-wide in-memory ResultCache front. On either
+ * executor a cell that throws fails only itself (recorded with the
+ * exception text) and the sweep moves on; a cell that *crashes* the
+ * process takes the process down, and sweep_driver's process-per-shard
+ * runs are where crash isolation lives. Merged results are
+ * byte-identical across executors and thread counts.
  *
  * Sharding partitions by *group* (figure row), not by cell, so every
  * row's baseline and variants land in the same shard and speedup
@@ -54,7 +31,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <map>
 #include <mutex>
@@ -68,7 +44,7 @@
 
 namespace svw::harness {
 
-/** Default MemoryResultCache byte cap: generous for a batch binary's
+/** Default MemoryResultCache byte cap: generous for a figure binary's
  * handful of sweeps, finite for a daemon (--mem-cache-max-mb). */
 inline constexpr std::uint64_t memoryResultCacheDefaultMaxBytes =
     512ull * 1024 * 1024;
@@ -76,29 +52,16 @@ inline constexpr std::uint64_t memoryResultCacheDefaultMaxBytes =
 /** How to execute a sweep. */
 struct SweepOptions
 {
-    /** Worker processes; 1 = in-process (debug/tracing-friendly,
-     * failures propagate as exceptions like a plain runOne loop). */
-    unsigned jobs = 1;
     /**
-     * Worker threads; 0 = off. When >= 1, cells run on this many
-     * std::thread workers in one address space, sharing the process
-     * ProgramCache and the in-memory ResultCache front — no fork, no
-     * result pipes. Mutually exclusive with jobs > 1 (asserted; the
-     * flag layer exits 2). Unlike the fork pool, a crashing cell
-     * takes the whole process down (exceptions are still contained
-     * per unit); unlike the in-process path, --threads=1 contains
-     * exceptions rather than propagating them.
+     * Worker threads; 0 = run every cell in the calling thread. When
+     * >= 1, cells run on this many std::thread workers in one address
+     * space, sharing the process ProgramCache and the in-memory
+     * ResultCache front. Results are byte-identical for every value.
      */
     unsigned threads = 0;
-    /**
-     * Co-simulation batch width (harness/batch.hh): compatible cells
-     * of one workload are advanced in lockstep as one unit of up to
-     * this many lanes, sharing the program, the base memory image and
-     * the golden-model pass. 0 = auto (resolveBatchK's default), 1 =
-     * off. Merged results are byte-identical for every value — the
-     * same invariant as `jobs`. Under a pool, one unit is one deal, so
-     * large batches coarsen work distribution.
-     */
+    /** Inert: read by nothing. Kept only so existing callers that
+     * assign it still compile; removed with the next benchmark
+     * change. */
     unsigned batch = 0;
     /**
      * When nonzero and a cacheDir is set: after the sweep's results
@@ -114,9 +77,9 @@ struct SweepOptions
     /**
      * Persistent result-cache directory (harness/sweep.hh ResultCache);
      * empty disables caching. Cacheable cells are looked up *before*
-     * any cell is dealt to a worker — a hit is recorded as a completed
-     * outcome (cached=true, zero timing) without running anything —
-     * and successful misses are stored after the sweep, so a repeated
+     * any cell runs — a hit is recorded as a completed outcome
+     * (cached=true, zero timing) without running anything — and
+     * successful misses are stored after the sweep, so a repeated
      * sweep only simulates changed cells.
      */
     std::string cacheDir;
@@ -131,74 +94,27 @@ struct SweepOptions
     /**
      * Attach the stage profiler (base/profile.hh) to every cell run:
      * per-stage host-ns attribution lands in each RunResult's prof_*
-     * fields and, parent-side, in the process collector for folded
-     * output. Host observation only — simulated cycles and metrics
-     * are byte-identical — but the timer reads make host wall
+     * fields and in the process collector for folded output. Host
+     * observation only — simulated cycles and metrics are
+     * byte-identical — but the timer reads make host wall
      * measurements meaningless, so a profiled sweep bypasses the
      * result cache entirely (no probes, no stores).
      */
     bool profile = false;
-    /**
-     * Progress callback, invoked in the parent as each cell outcome is
-     * recorded (completion order under a worker pool; spec order
-     * in-process). Long sweeps stream per-cell status through this.
-     */
-    std::function<void(std::size_t cellIndex, const CellOutcome &)>
-        onCellDone;
 };
 
 /** Monotonic host wall-clock seconds (arbitrary origin). */
 double hostSeconds();
 
-/**
- * Executor-owned execution counters. Atomic because thread-pool
- * workers bump them concurrently; one instance per process
- * (execCounters()), so fork-pool workers still accumulate into their
- * own copy-on-write copies, never the parent's.
- */
-class ExecCounters
-{
-  public:
-    /** Cell executions: runCell invocations plus every lane of a
-     * runBatch unit. */
-    std::uint64_t cellRuns() const
-    {
-        return cellRuns_.load(std::memory_order_relaxed);
-    }
-
-    void addCellRuns(std::uint64_t n)
-    {
-        cellRuns_.fetch_add(n, std::memory_order_relaxed);
-    }
-
-  private:
-    std::atomic<std::uint64_t> cellRuns_{0};
-};
-
-/** The calling process's executor counters. */
-ExecCounters &execCounters();
-
-/** Count of cell executions in the *calling* process — runCell
- * invocations plus every lane of a runBatch unit (a pool worker's
- * executions land in the worker's own copy, not the parent's; a
- * thread worker's land here). Test instrumentation: a fully
- * warm-cache sweep serves hits in the parent, so it must leave the
- * parent's count unchanged, whatever the batch width. Accessor for
- * execCounters().cellRuns(). */
+/** Count of runCell invocations in this process, from any thread.
+ * Test instrumentation: a fully warm-cache sweep serves hits without
+ * running anything, so it must leave the count unchanged. */
 std::uint64_t runCellCalls();
-
-/**
- * Inside a pool worker: the fd of the worker's result pipe; -1 in the
- * parent / in-process path. Crash-injection tests use it to die
- * mid-protocol-line and assert the parent discards the truncated
- * record.
- */
-int workerResultFd();
 
 /**
  * Per-process cache of built workload programs: each (workload,
  * targetInsts) program is constructed once and shared by reference
- * across every config cell that uses it ("batch configs per workload").
+ * across every config cell that uses it.
  *
  * Thread-safe: concurrent get()s for one key build the program exactly
  * once (the others block on its slot), and builds of *different*
@@ -239,10 +155,9 @@ class ProgramCache
 };
 
 /**
- * The process-wide workload-program cache used by the in-process
- * sweep path and the pool workers: consecutive sweeps in one process
- * (batched or not) share one build of each (workload, insts) program
- * instead of rebuilding per runSweep call. Callers owning their
+ * The process-wide workload-program cache used by every sweep:
+ * consecutive sweeps in one process share one build of each
+ * (workload, insts) program instead of rebuilding per runSweep call. Callers owning their
  * lifetime (tests) can still construct private ProgramCaches.
  */
 ProgramCache &processProgramCache();
@@ -260,12 +175,12 @@ ProgramCache &processProgramCache();
  * of its key material, which already embeds the code-version stamp.
  * Only consulted when a sweep runs with a cacheDir or opts into the
  * memory front (SweepOptions::memCache) — caching stays opt-in.
- * Thread-safe (one mutex; probes happen on the dealing thread, so
+ * Thread-safe (one mutex; probes happen on the driving thread, so
  * contention is nil).
  *
  * Bounded: the cache LRU-evicts once its estimated footprint exceeds
  * setMaxBytes (default memoryResultCacheDefaultMaxBytes — generous
- * for a batch binary, but a hard cap so a long-lived daemon serving
+ * for a figure binary, but a hard cap so a long-lived daemon serving
  * an unbounded stream of distinct cells cannot grow without limit).
  * get() refreshes recency; put() inserts at the front and evicts from
  * the tail. The newest entry is never evicted, so a just-stored
@@ -322,9 +237,9 @@ class MemoryResultCache
 MemoryResultCache &processMemoryResultCache();
 
 /**
- * Execute one cell in the calling process (shared by the in-process
- * path and the workers). Does not catch: a golden-model mismatch or
- * other fatal propagates to the caller.
+ * Execute one cell in the calling thread. Does not catch: a
+ * golden-model mismatch or other fatal propagates to the caller (the
+ * session records it as a failed cell).
  */
 CellOutcome runCell(const SweepCell &cell, ProgramCache &cache,
                     bool profile = false);

@@ -17,15 +17,7 @@ scalarValue(const stats::StatRegistry &reg, const std::string &name)
     return s->value();
 }
 
-} // namespace
-
-RunResult
-runOne(const RunRequest &req)
-{
-    const Program prog = workloads::make(req.workload, req.targetInsts);
-    return runOne(req, prog);
-}
-
+/** Extract a finished run's metrics from its stat registry. */
 RunResult
 extractRunResult(const RunRequest &req, const stats::StatRegistry &reg,
                  const RunOutcome &out)
@@ -74,6 +66,8 @@ extractRunResult(const RunRequest &req, const stats::StatRegistry &reg,
     return res;
 }
 
+/** Compare against an interpreter advanced to out.instructions;
+ * fatals (throws) on mismatch. */
 void
 goldenCompare(const RunRequest &req, const Core &core,
               const RunOutcome &out, const Interp &golden, RunResult &res)
@@ -89,6 +83,15 @@ goldenCompare(const RunRequest &req, const Core &core,
                   res.config, " after ", out.instructions,
                   " instructions");
     }
+}
+
+} // namespace
+
+RunResult
+runOne(const RunRequest &req)
+{
+    const Program prog = workloads::make(req.workload, req.targetInsts);
+    return runOne(req, prog);
 }
 
 RunResult

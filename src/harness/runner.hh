@@ -13,7 +13,6 @@
 #include <string>
 
 #include "base/profile.hh"
-#include "func/interp.hh"
 #include "harness/config.hh"
 #include "prog/program.hh"
 
@@ -81,28 +80,6 @@ struct RunRequest
  * golden-model mismatch when goldenCheck is set.
  */
 RunResult runOne(const RunRequest &req, const Program &prog);
-
-/**
- * Extract a finished run's metrics from its stat registry — the single
- * extraction point shared by runOne and the batched co-simulation
- * path (harness/batch.hh), so a batched cell's RunResult is
- * byte-identical to its single-cell run by construction. Also emits
- * runOne's did-not-halt warning.
- */
-RunResult extractRunResult(const RunRequest &req,
-                           const stats::StatRegistry &reg,
-                           const RunOutcome &out);
-
-/**
- * Golden-model comparison against an interpreter already advanced to
- * exactly out.instructions retired instructions. Sets res.goldenOk
- * and fatals (throws) on mismatch with runOne's message. The batched
- * path advances one shared interpreter lane-by-lane through here;
- * runOne passes a fresh one.
- */
-void goldenCompare(const RunRequest &req, const Core &core,
-                   const RunOutcome &out, const Interp &golden,
-                   RunResult &res);
 
 /** Convenience overload: builds the workload program, then runs. */
 RunResult runOne(const RunRequest &req);

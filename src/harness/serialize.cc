@@ -350,20 +350,6 @@ runResultFromJson(const std::string &json, RunResult &out)
     return true;
 }
 
-std::string
-cellRecordToLine(const CellRecord &rec)
-{
-    std::ostringstream os;
-    os << "{\"cell\":" << rec.cellIndex
-       << ",\"ok\":" << (rec.ok ? "true" : "false")
-       << ",\"error\":\"" << jsonEscape(rec.error) << "\""
-       << ",\"seconds\":" << jsonDouble(rec.seconds)
-       << ",\"host_wall_seconds\":" << jsonDouble(rec.hostWallSeconds)
-       << ",\"result\":" << runResultToJson(rec.result)
-       << "}\n";
-    return os.str();
-}
-
 // Key material must enumerate EVERY field: a knob missing from this
 // list would let two different machines share one cache entry. The
 // size checks cannot prove the lists are complete, but they force a
@@ -499,46 +485,6 @@ cacheEntryFromLine(const std::string &line, std::string &material,
         return false;
     material = std::move(mat);
     r = res;
-    return true;
-}
-
-bool
-cellRecordFromLine(const std::string &line, CellRecord &out)
-{
-    Cursor c{line.data(), line.data() + line.size()};
-    CellRecord rec;
-    if (!c.consume('{'))
-        return false;
-    if (!c.consume('}')) {
-        do {
-            std::string key;
-            if (!parseString(c, key) || !c.consume(':'))
-                return false;
-            bool good;
-            if (key == "cell") {
-                std::uint64_t v;
-                good = parseU64(c, v);
-                rec.cellIndex = static_cast<std::size_t>(v);
-            } else if (key == "ok") {
-                good = parseBool(c, rec.ok);
-            } else if (key == "error") {
-                good = parseString(c, rec.error);
-            } else if (key == "seconds") {
-                good = parseDouble(c, rec.seconds);
-            } else if (key == "host_wall_seconds") {
-                good = parseDouble(c, rec.hostWallSeconds);
-            } else if (key == "result") {
-                good = parseRunResultObject(c, rec.result);
-            } else {
-                good = skipValue(c);
-            }
-            if (!good)
-                return false;
-        } while (c.consume(','));
-        if (!c.consume('}'))
-            return false;
-    }
-    out = std::move(rec);
     return true;
 }
 

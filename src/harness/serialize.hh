@@ -1,22 +1,21 @@
 /**
  * @file
  * Exact-round-trip JSON serialization of RunResult — the sweep engine's
- * worker wire format.
+ * result format.
  *
- * A worker process streams one JSON line per finished cell back to the
- * pool parent; the parent merges lines in spec order. The merged report
- * must be byte-identical to a sequential in-process run for any job
- * count, so every double is printed with %.17g (guaranteed lossless for
- * IEEE-754 binary64) and every integer as a full-width decimal. The
- * parser accepts exactly the flat two-level objects the writer emits —
- * it is a wire format between two halves of one binary, not a general
- * JSON implementation.
+ * The persistent result cache stores one JSON line per cell, sweepd
+ * streams the same line per finished cell, and --emit-cells writes it
+ * too. A cached or streamed result must be byte-identical to a fresh
+ * in-process run, so every double is printed with %.17g (guaranteed
+ * lossless for IEEE-754 binary64) and every integer as a full-width
+ * decimal. The parser accepts exactly the flat two-level objects the
+ * writer emits — it is a format between parts of one program, not a
+ * general JSON implementation.
  */
 
 #ifndef SVW_HARNESS_SERIALIZE_HH
 #define SVW_HARNESS_SERIALIZE_HH
 
-#include <cstddef>
 #include <string>
 
 #include "harness/runner.hh"
@@ -65,27 +64,6 @@ std::string cacheEntryToLine(const std::string &material,
  * newline). @return false on malformed input or schema mismatch. */
 bool cacheEntryFromLine(const std::string &line, std::string &material,
                         RunResult &r);
-
-/**
- * Worker-protocol record: the per-cell execution envelope around the
- * RunResult (identity, success, error text, host timing).
- */
-struct CellRecord
-{
-    std::size_t cellIndex = 0;
-    bool ok = false;
-    std::string error;
-    double seconds = 0.0;          ///< best timing rep
-    double hostWallSeconds = 0.0;  ///< total wall time across reps
-    RunResult result{};
-};
-
-/** One protocol line (newline-terminated) for @p rec. */
-std::string cellRecordToLine(const CellRecord &rec);
-
-/** Parse cellRecordToLine output (with or without the trailing
- * newline). @return false on malformed input. */
-bool cellRecordFromLine(const std::string &line, CellRecord &out);
 
 } // namespace svw::harness
 

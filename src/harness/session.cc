@@ -1,24 +1,13 @@
 /**
  * @file
- * SweepSession implementation — and the execution machinery behind it.
+ * SweepSession implementation — the one execution path behind every
+ * sweep.
  *
  * Everything that *orchestrates* a sweep lives here: shard selection,
- * cache probing, unit planning, the sequential / thread-pool / fork-
- * pool execution paths, and the per-cell event stream. What *runs* a
- * cell (runCell, the caches, the counters) stays in executor.cc; the
- * legacy runSweep entry point is defined at the bottom of this file as
- * a one-line wrapper over a blocking session.
- *
- * Fork-pool worker protocol (docs/ARCHITECTURE.md "Sweep engine"): the
- * parent forks N workers after the spec is built (so cells' hooks and
- * configs are inherited), then dynamically deals planned units to idle
- * workers over per-worker command pipes (an 8-byte little-endian lane
- * count, ~0 = quit, followed by that many 8-byte cell indices). A
- * worker executes each unit in isolation and streams back one JSON
- * line per cell in unit order (harness/serialize.hh) on its result
- * pipe. A crashed worker fails only its in-flight unit's unreported
- * cells; the parent reaps it, respawns a replacement, and the merged
- * report stays intact.
+ * cache probing, the in-caller and worker-thread executors, and the
+ * per-cell event stream. What *runs* a cell (runCell, the caches, the
+ * counters) stays in executor.cc; runSweep is defined at the bottom of
+ * this file as a one-line wrapper over a blocking session.
  */
 
 #include "harness/session.hh"
@@ -29,31 +18,14 @@
 #include <cstring>
 #include <exception>
 #include <fcntl.h>
+#include <poll.h>
+#include <unistd.h>
 
 #include "base/logging.hh"
 #include "base/profile.hh"
-#include "harness/batch.hh"
 #include "harness/serialize.hh"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define SVW_HAVE_FORK_POOL 1
-#include <poll.h>
-#include <signal.h>
-#include <sys/wait.h>
-#include <unistd.h>
-#endif
-
 namespace svw::harness {
-
-namespace {
-int gWorkerResultFd = -1;
-} // namespace
-
-int
-workerResultFd()
-{
-    return gWorkerResultFd;
-}
 
 namespace {
 
@@ -61,13 +33,6 @@ namespace {
 std::deque<std::size_t>
 selectCells(const SweepSpec &spec, const SweepOptions &opts)
 {
-    svw_assert(opts.jobs >= 1, "sweep --jobs must be >= 1");
-    // Two parallelism requests for one sweep is a caller bug: which
-    // one wins would be silent policy. The flag layer exits 2 with a
-    // usage message before this can trip.
-    svw_assert(!(opts.threads > 0 && opts.jobs > 1),
-               "--jobs and --threads are mutually exclusive; got jobs=",
-               opts.jobs, " threads=", opts.threads);
     svw_assert(opts.shardCount >= 1, "sweep shard count must be >= 1");
     svw_assert(opts.shardIndex < opts.shardCount,
                "sweep shard index ", opts.shardIndex,
@@ -92,598 +57,27 @@ selectCells(const SweepSpec &spec, const SweepOptions &opts)
     return sel;
 }
 
-using BatchUnit = std::vector<std::size_t>;
-
-/** Run @p unit in the calling thread; does not catch (the blocking
- * sequential path propagates cell failures like a plain runOne loop). */
-std::vector<CellOutcome>
-runUnitHere(const SweepSpec &spec, const BatchUnit &unit, bool profile)
+/** Run one cell with per-cell containment: a throw fails the cell
+ * with the exception text, and the caller lives on. */
+CellOutcome
+runCellContained(const SweepCell &cell, bool profile)
 {
-    ProgramCache &cache = processProgramCache();
-    if (unit.size() == 1)
-        return {runCell(spec.cell(unit[0]), cache, profile)};
-    std::vector<CellOutcome> outs = runBatch(spec, unit, cache, profile);
-    execCounters().addCellRuns(unit.size());  // lanes are cells
-    return outs;
-}
-
-/** Run @p unit with the pool paths' all-or-nothing containment: a
- * throw inside the unit fails every cell of the unit with the
- * exception text, and the caller lives on. */
-std::vector<CellOutcome>
-runUnitContained(const SweepSpec &spec, const BatchUnit &unit,
-                 bool profile)
-{
-    std::vector<CellOutcome> outs(unit.size());
     try {
-        outs = runUnitHere(spec, unit, profile);
+        return runCell(cell, processProgramCache(), profile);
     } catch (const std::exception &e) {
-        for (CellOutcome &o : outs) {
-            o = CellOutcome{};
-            o.ran = true;
-            o.ok = false;
-            o.error = e.what();
-        }
+        CellOutcome o;
+        o.ran = true;
+        o.error = e.what();
+        return o;
     } catch (...) {
-        for (CellOutcome &o : outs) {
-            o = CellOutcome{};
-            o.ran = true;
-            o.ok = false;
-            o.error = "unknown exception";
-        }
-    }
-    return outs;
-}
-
-/**
- * Thread-pool execution: N std::thread workers pull planned units
- * from a shared deque and run them in this address space, sharing the
- * process ProgramCache (thread-safe build-once) and bumping the
- * executor's atomic counters. Everything a unit *writes* is
- * thread-private (its cells' Core/StatRegistry/MemoryImage lanes and
- * its distinct outcome slots); everything shared is immutable or
- * internally synchronized — so merged outcomes are byte-identical to
- * the sequential run by construction.
- *
- * Containment mirrors the fork pool's unit protocol: a throw inside a
- * unit fails all of that unit's cells (all-or-nothing, like a fork
- * worker's catch block) and the thread pulls the next unit. The
- * onCellDone callback is invoked under the pool mutex (callbacks are
- * not required to be thread-safe), in completion order like the fork
- * pool; a callback that throws stops the pool and rethrows to the
- * caller after the join, matching the in-process path where callback
- * exceptions propagate out of runSweep.
- */
-std::vector<CellOutcome>
-runThreadPool(const SweepSpec &spec, const std::vector<BatchUnit> &units,
-              const SweepOptions &opts, unsigned nThreads)
-{
-    std::vector<CellOutcome> outcomes(spec.size());
-    std::deque<BatchUnit> pending(units.begin(), units.end());
-    std::mutex mutex;                    // guards pending + record/callback
-    std::exception_ptr callbackError;    // first onCellDone throw
-    bool stop = false;                   // set when callbackError is set
-
-    auto workerMain = [&] {
-        for (;;) {
-            BatchUnit unit;
-            {
-                std::lock_guard<std::mutex> lock(mutex);
-                if (stop || pending.empty())
-                    return;
-                unit = std::move(pending.front());
-                pending.pop_front();
-            }
-            std::vector<CellOutcome> outs =
-                runUnitContained(spec, unit, opts.profile);
-            std::lock_guard<std::mutex> lock(mutex);
-            for (std::size_t i = 0; i < unit.size(); ++i)
-                outcomes[unit[i]] = std::move(outs[i]);
-            if (opts.onCellDone && !stop) {
-                try {
-                    for (std::size_t idx : unit)
-                        opts.onCellDone(idx, outcomes[idx]);
-                } catch (...) {
-                    callbackError = std::current_exception();
-                    stop = true;
-                }
-            }
-        }
-    };
-
-    // One thread per slot, capped by the work available (a unit is
-    // the deal granularity, exactly like the fork pool).
-    const std::size_t n = std::min<std::size_t>(nThreads, units.size());
-    std::vector<std::thread> workers;
-    workers.reserve(n);
-    for (std::size_t i = 0; i < n; ++i)
-        workers.emplace_back(workerMain);
-    for (std::thread &t : workers)
-        t.join();
-    if (callbackError)
-        std::rethrow_exception(callbackError);
-    return outcomes;
-}
-
-#ifdef SVW_HAVE_FORK_POOL
-
-constexpr std::uint64_t quitSentinel = ~std::uint64_t(0);
-
-bool
-readFull(int fd, void *buf, std::size_t n)
-{
-    auto *p = static_cast<char *>(buf);
-    while (n > 0) {
-        const ssize_t r = ::read(fd, p, n);
-        if (r < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        if (r == 0)
-            return false;
-        p += r;
-        n -= static_cast<std::size_t>(r);
-    }
-    return true;
-}
-
-bool
-writeFull(int fd, const void *buf, std::size_t n)
-{
-    const auto *p = static_cast<const char *>(buf);
-    while (n > 0) {
-        const ssize_t r = ::write(fd, p, n);
-        if (r < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        p += r;
-        n -= static_cast<std::size_t>(r);
-    }
-    return true;
-}
-
-/** Worker main loop: pull unit frames (lane count + cell indices),
- * push one result line per cell in unit order. */
-[[noreturn]] void
-workerLoop(const SweepSpec &spec, int cmdFd, int resFd, bool profile)
-{
-    gWorkerResultFd = resFd;  // crash-injection test hooks write here
-    ProgramCache &cache = processProgramCache();
-    for (;;) {
-        std::uint64_t count = 0;
-        if (!readFull(cmdFd, &count, sizeof(count)) ||
-            count == quitSentinel) {
-            break;
-        }
-        std::vector<std::size_t> unit(static_cast<std::size_t>(count));
-        bool eof = false;
-        for (std::size_t &idx : unit) {
-            std::uint64_t v = 0;
-            if (!readFull(cmdFd, &v, sizeof(v))) {
-                eof = true;
-                break;
-            }
-            idx = static_cast<std::size_t>(v);
-        }
-        if (eof || unit.empty())
-            break;
-
-        std::vector<CellRecord> recs(unit.size());
-        for (std::size_t i = 0; i < unit.size(); ++i)
-            recs[i].cellIndex = unit[i];
-        try {
-            std::vector<CellOutcome> outs;
-            if (unit.size() == 1) {
-                outs.push_back(runCell(spec.cell(unit[0]), cache,
-                                       profile));
-            } else {
-                outs = runBatch(spec, unit, cache, profile);
-                execCounters().addCellRuns(unit.size());  // lanes
-            }
-            for (std::size_t i = 0; i < unit.size(); ++i) {
-                recs[i].ok = outs[i].ok;
-                recs[i].seconds = outs[i].seconds;
-                recs[i].hostWallSeconds = outs[i].hostWallSeconds;
-                recs[i].result = std::move(outs[i].result);
-            }
-        } catch (const std::exception &e) {
-            // A batch is all-or-nothing, like a cell: a lane's golden
-            // mismatch (or any throw) fails every cell of the unit.
-            for (CellRecord &rec : recs) {
-                rec.ok = false;
-                rec.error = e.what();
-            }
-        } catch (...) {
-            for (CellRecord &rec : recs) {
-                rec.ok = false;
-                rec.error = "unknown exception";
-            }
-        }
-        bool writeFailed = false;
-        for (const CellRecord &rec : recs) {
-            const std::string line = cellRecordToLine(rec);
-            if (!writeFull(resFd, line.data(), line.size())) {
-                writeFailed = true;
-                break;
-            }
-        }
-        if (writeFailed)
-            break;
-    }
-    // _exit: skip the parent's flushed-but-inherited stdio buffers and
-    // static destructors; the worker must never emit parent output.
-    ::_exit(0);
-}
-
-struct Worker
-{
-    pid_t pid = -1;
-    int cmdFd = -1;       ///< parent -> worker unit frames
-    int resFd = -1;       ///< worker -> parent result lines
-    BatchUnit inflight;   ///< unit being executed (empty = idle)
-    std::size_t reported = 0;  ///< unit cells already recorded
-    bool alive = false;
-    std::string buf;      ///< partial result-line accumulator
-};
-
-class ForkPool
-{
-  public:
-    ForkPool(const SweepSpec &spec, std::deque<BatchUnit> pending,
-             const SweepOptions &opts)
-        : spec_(spec), opts_(opts), pending_(std::move(pending)),
-          outcomes_(spec.size())
-    {
-        for (const BatchUnit &u : pending_)
-            remaining_ += u.size();
-        const unsigned jobs = opts.jobs;
-        // One worker per job slot, capped by the work available (a
-        // unit is the deal granularity, so batching coarsens this).
-        const std::size_t n =
-            std::min<std::size_t>(jobs, pending_.size());
-        for (std::size_t i = 0; i < n; ++i)
-            spawn();
-        for (Worker &w : workers_) {
-            if (w.alive)
-                deal(w);
-        }
-    }
-
-    /** Exception backstop: a throw escaping run() (e.g. from an
-     * onCellDone callback) must not leak live workers blocked on
-     * their command pipes for the life of the parent. The normal path
-     * reaps everything in shutdown(), leaving this a no-op. */
-    ~ForkPool()
-    {
-        for (Worker &w : workers_) {
-            if (!w.alive)
-                continue;
-            if (w.cmdFd >= 0)
-                ::close(w.cmdFd);
-            ::close(w.resFd);
-            ::kill(w.pid, SIGKILL);
-            int status = 0;
-            ::waitpid(w.pid, &status, 0);
-            w.alive = false;
-        }
-    }
-
-    std::vector<CellOutcome> run()
-    {
-        while (remaining_ > 0) {
-            if (!pollOnce()) {
-                // No live workers left but cells still pending: the
-                // respawn path is exhausted (fork failure). Fail the
-                // rest explicitly rather than hang.
-                for (const BatchUnit &unit : pending_) {
-                    for (std::size_t idx : unit)
-                        failCell(idx, "no live workers left");
-                }
-                pending_.clear();
-                for (Worker &w : workers_)
-                    failUnitRemainder(w, "sweep pool aborted");
-                break;
-            }
-        }
-        shutdown();
-        return std::move(outcomes_);
-    }
-
-  private:
-    /** @return true when a new worker was actually added. */
-    bool spawn()
-    {
-        int cmd[2], res[2];
-        if (::pipe(cmd) != 0)
-            return false;
-        if (::pipe(res) != 0) {
-            ::close(cmd[0]);
-            ::close(cmd[1]);
-            return false;
-        }
-        // Flush before forking so buffered output is not emitted twice.
-        std::fflush(stdout);
-        std::fflush(stderr);
-        const pid_t pid = ::fork();
-        if (pid < 0) {
-            ::close(cmd[0]);
-            ::close(cmd[1]);
-            ::close(res[0]);
-            ::close(res[1]);
-            return false;
-        }
-        if (pid == 0) {
-            // Child: keep only this worker's pipe ends. Closing the
-            // siblings' ends is what makes the parent see EOF promptly
-            // when a sibling dies.
-            ::close(cmd[1]);
-            ::close(res[0]);
-            for (const Worker &w : workers_) {
-                if (w.cmdFd >= 0)
-                    ::close(w.cmdFd);
-                if (w.resFd >= 0)
-                    ::close(w.resFd);
-            }
-            workerLoop(spec_, cmd[0], res[1], opts_.profile);
-        }
-        ::close(cmd[0]);
-        ::close(res[1]);
-        Worker w;
-        w.pid = pid;
-        w.cmdFd = cmd[1];
-        w.resFd = res[0];
-        w.alive = true;
-        workers_.push_back(std::move(w));
-        return true;
-    }
-
-    /** Hand the next pending unit to @p w (or quit it when drained). */
-    void deal(Worker &w)
-    {
-        if (!pending_.empty()) {
-            BatchUnit unit = std::move(pending_.front());
-            pending_.pop_front();
-            // One frame: lane count, then the cell indices.
-            std::vector<std::uint64_t> frame;
-            frame.reserve(unit.size() + 1);
-            frame.push_back(unit.size());
-            for (std::size_t idx : unit)
-                frame.push_back(idx);
-            if (writeFull(w.cmdFd, frame.data(),
-                          frame.size() * sizeof(std::uint64_t))) {
-                w.inflight = std::move(unit);
-                w.reported = 0;
-            } else {
-                // Write side already broken: requeue and let the
-                // resFd EOF path reap the worker.
-                pending_.push_front(std::move(unit));
-            }
-            return;
-        }
-        const std::uint64_t q = quitSentinel;
-        writeFull(w.cmdFd, &q, sizeof(q));
-        ::close(w.cmdFd);
-        w.cmdFd = -1;
-    }
-
-    void failCell(std::size_t idx, std::string error)
-    {
-        CellOutcome &o = outcomes_[idx];
+        CellOutcome o;
         o.ran = true;
-        o.ok = false;
-        o.error = std::move(error);
-        --remaining_;
-        if (opts_.onCellDone)
-            opts_.onCellDone(idx, o);
+        o.error = "unknown exception";
+        return o;
     }
-
-    /** Fail every not-yet-reported cell of @p w's in-flight unit and
-     * mark it idle (already-recorded lanes keep their outcomes). */
-    void failUnitRemainder(Worker &w, const std::string &error)
-    {
-        for (std::size_t i = w.reported; i < w.inflight.size(); ++i)
-            failCell(w.inflight[i], error);
-        w.inflight.clear();
-        w.reported = 0;
-    }
-
-    void recordLine(Worker &w, const std::string &line)
-    {
-        CellRecord rec;
-        const bool expectedOk =
-            cellRecordFromLine(line, rec) &&
-            rec.cellIndex < outcomes_.size() &&
-            w.reported < w.inflight.size() &&
-            rec.cellIndex == w.inflight[w.reported];
-        if (!expectedOk) {
-            // Protocol corruption: fail the unit's unreported cells
-            // and retire the worker for real — kill it, reap it
-            // (which respawns a replacement if work remains), and let
-            // the caller stop reading its now-closed pipe.
-            failUnitRemainder(w, "malformed worker record");
-            ::kill(w.pid, SIGKILL);
-            reap(w);
-            return;
-        }
-        CellOutcome &o = outcomes_[rec.cellIndex];
-        o.ran = true;
-        o.ok = rec.ok;
-        o.error = std::move(rec.error);
-        o.seconds = rec.seconds;
-        o.hostWallSeconds = rec.hostWallSeconds;
-        o.result = std::move(rec.result);
-        --remaining_;
-        ++w.reported;
-        if (opts_.onCellDone)
-            opts_.onCellDone(rec.cellIndex, o);
-        if (w.reported == w.inflight.size()) {
-            w.inflight.clear();
-            w.reported = 0;
-            deal(w);
-        }
-    }
-
-    /** Reap a worker whose result pipe hit EOF. */
-    void reap(Worker &w)
-    {
-        int status = 0;
-        ::waitpid(w.pid, &status, 0);
-        if (w.reported < w.inflight.size()) {
-            std::string why = "worker ";
-            why += std::to_string(w.pid);
-            if (WIFSIGNALED(status)) {
-                why += " killed by signal ";
-                why += std::to_string(WTERMSIG(status));
-            } else {
-                why += " exited with status ";
-                why += std::to_string(WIFEXITED(status)
-                                          ? WEXITSTATUS(status)
-                                          : -1);
-            }
-            why += " while running cell ";
-            why += spec_.cell(w.inflight[w.reported]).name();
-            if (w.inflight.size() - w.reported > 1) {
-                why += " (batch unit of ";
-                why += std::to_string(w.inflight.size());
-                why += ")";
-            }
-            failUnitRemainder(w, why);
-        }
-        if (w.cmdFd >= 0) {
-            ::close(w.cmdFd);
-            w.cmdFd = -1;
-        }
-        ::close(w.resFd);
-        w.resFd = -1;
-        w.alive = false;
-        // A worker that died mid-write leaves a truncated trailing
-        // line (no '\n') in w.buf. Drop it: only complete lines ever
-        // reach the deserializer; the in-flight cell already failed
-        // with the exit/signal diagnosis above.
-        w.buf.clear();
-        // Keep the pool at strength while work remains. A failed spawn
-        // (fork/pipe error) must not deal to workers_.back() — that is
-        // some existing, possibly busy worker.
-        if (!pending_.empty() && spawn())
-            deal(workers_.back());
-    }
-
-    /** @return false when no live worker remains to wait on. */
-    bool pollOnce()
-    {
-        std::vector<pollfd> fds;
-        std::vector<std::size_t> who;
-        for (std::size_t i = 0; i < workers_.size(); ++i) {
-            if (workers_[i].alive) {
-                fds.push_back(pollfd{workers_[i].resFd, POLLIN, 0});
-                who.push_back(i);
-            }
-        }
-        if (fds.empty())
-            return false;
-        int n = ::poll(fds.data(), fds.size(), -1);
-        if (n < 0) {
-            if (errno == EINTR)
-                return true;
-            return false;
-        }
-        for (std::size_t k = 0; k < fds.size(); ++k) {
-            if (!(fds[k].revents & (POLLIN | POLLHUP | POLLERR)))
-                continue;
-            Worker &w = workers_[who[k]];
-            char chunk[4096];
-            const ssize_t r = ::read(w.resFd, chunk, sizeof(chunk));
-            if (r > 0) {
-                w.buf.append(chunk, static_cast<std::size_t>(r));
-                std::size_t nl;
-                while ((nl = w.buf.find('\n')) != std::string::npos) {
-                    const std::string line = w.buf.substr(0, nl);
-                    w.buf.erase(0, nl + 1);
-                    recordLine(w, line);
-                    if (!w.alive)
-                        break;  // retired by recordLine
-                }
-            } else if (r == 0 || (r < 0 && errno != EINTR)) {
-                reap(w);
-            }
-        }
-        return true;
-    }
-
-    void shutdown()
-    {
-        for (Worker &w : workers_) {
-            if (!w.alive)
-                continue;
-            if (w.cmdFd >= 0)
-                deal(w);  // pending_ is empty: sends quit
-            // Drain any trailing output until EOF, then reap.
-            char chunk[4096];
-            for (;;) {
-                const ssize_t r = ::read(w.resFd, chunk, sizeof(chunk));
-                if (r <= 0)
-                    break;
-            }
-            reapQuietly(w);
-        }
-    }
-
-    void reapQuietly(Worker &w)
-    {
-        int status = 0;
-        ::waitpid(w.pid, &status, 0);
-        if (w.cmdFd >= 0) {
-            ::close(w.cmdFd);
-            w.cmdFd = -1;
-        }
-        ::close(w.resFd);
-        w.resFd = -1;
-        w.alive = false;
-    }
-
-    const SweepSpec &spec_;
-    const SweepOptions &opts_;
-    std::deque<BatchUnit> pending_;
-    std::vector<CellOutcome> outcomes_;
-    std::size_t remaining_ = 0;
-    // deque: spawn() during iteration must not invalidate references.
-    std::deque<Worker> workers_;
-};
-
-/** Scope guard: a dead worker's command pipe must raise EPIPE, not
- * kill the pool — and the old disposition must come back even when an
- * exception unwinds past the pool. */
-struct SigpipeIgnored
-{
-    struct sigaction old{};
-    SigpipeIgnored()
-    {
-        struct sigaction ign{};
-        ign.sa_handler = SIG_IGN;
-        ::sigaction(SIGPIPE, &ign, &old);
-    }
-    ~SigpipeIgnored() { ::sigaction(SIGPIPE, &old, nullptr); }
-};
-
-std::vector<CellOutcome>
-runPool(const SweepSpec &spec, std::deque<BatchUnit> pending,
-        const SweepOptions &opts)
-{
-    SigpipeIgnored guard;
-    ForkPool pool(spec, std::move(pending), opts);
-    return pool.run();
 }
-
-#endif // SVW_HAVE_FORK_POOL
 
 } // namespace
-
-// ---------------------------------------------------------------------------
-// SweepSession
-// ---------------------------------------------------------------------------
 
 SweepSession::SweepSession(SweepSpec spec, SweepOptions opts)
     : spec_(std::move(spec)), opts_(std::move(opts))
@@ -692,9 +86,10 @@ SweepSession::SweepSession(SweepSpec spec, SweepOptions opts)
 
 SweepSession::~SweepSession()
 {
-    // A session destroyed mid-flight (daemon error path) must not leak
-    // worker threads touching freed state: stop new deals, let
-    // in-flight units finish, join, and discard their completions.
+    // A session destroyed mid-flight (daemon error path, or a callback
+    // exception unwinding out of run()) must not leak worker threads
+    // touching freed state: stop new deals, let in-flight cells
+    // finish, join, and discard their completions.
     {
         std::lock_guard<std::mutex> lock(mutex_);
         stop_ = true;
@@ -733,21 +128,18 @@ SweepSession::record(std::size_t idx, CellOutcome o, CellEventKind kind)
         ++failures_;
     if (kind == CellEventKind::CachedHit)
         ++cacheHits_;
-    if (opts_.onCellDone)
-        opts_.onCellDone(idx, out);
     emit(kind, idx, &out);
 }
 
 void
-SweepSession::probeAndPlan()
+SweepSession::probeAndQueue()
 {
     std::deque<std::size_t> cells = selectCells(spec_, opts_);
     selected_ = cells.size();
     outcomes_.assign(spec_.size(), CellOutcome{});
 
-    // Serve cache hits before any cell is dealt to a worker; remember
-    // the probed keys so successful misses can be stored without
-    // re-deriving them.
+    // Serve cache hits before any cell runs; remember the probed keys
+    // so successful misses can be stored without re-deriving them.
     // The in-memory front is probed before the disk store, so within
     // one process a warm hit never touches the filesystem; disk hits
     // and fresh results are promoted into it for the next sweep. A
@@ -785,12 +177,8 @@ SweepSession::probeAndPlan()
         cells = std::move(misses);
     }
 
-    // Plan co-simulation units over the cells that actually need to
-    // run (cache hits are already out, so warm reruns are unaffected).
-    const std::vector<BatchUnit> units =
-        planBatches(spec_, cells, resolveBatchK(opts_.batch));
-    pending_.assign(units.begin(), units.end());
-    plannedUnits_ = pending_.size();
+    pending_ = std::move(cells);
+    queuedCells_ = pending_.size();
 }
 
 void
@@ -806,10 +194,9 @@ SweepSession::storeFreshResults()
     }
     if (cache_ && opts_.cacheMaxMb > 0)
         cache_->trimToBytes(opts_.cacheMaxMb * 1024 * 1024);
-    // Parent-side attribution: every profiled outcome (whatever
-    // execution path produced it — in-process, thread pool, or a fork
-    // worker's result line) lands in the process collector so the
-    // binary's --profile= folded-stack file covers the whole sweep.
+    // Every profiled outcome, whichever executor produced it, lands in
+    // the process collector so the binary's --profile= folded-stack
+    // file covers the whole sweep.
     if (opts_.profile) {
         for (std::size_t i = 0; i < outcomes_.size(); ++i) {
             const CellOutcome &o = outcomes_[i];
@@ -828,106 +215,25 @@ SweepSession::storeFreshResults()
 SweepResults
 SweepSession::run(const SessionCallback &cb)
 {
-    svw_assert(!started_ && !finishedCalled_,
-               "SweepSession::run on an already-driven session");
-    cb_ = cb;
-    started_ = true;
-    probeAndPlan();
-
-    const std::vector<BatchUnit> units(pending_.begin(), pending_.end());
-    pending_.clear();
-
-    // Pooled paths record completions through a composed onCellDone:
-    // the pool already serializes callback invocations (under its
-    // mutex / on the dealing thread), so the counters and the event
-    // stream stay coherent. Only Done events fire from pools — a
-    // worker's deal time is not observable parent-side; the blocking
-    // sequential path and incremental mode do emit Started.
-    SweepOptions poolOpts = opts_;
-    poolOpts.onCellDone = [this](std::size_t idx, const CellOutcome &o) {
-        ++done_;
-        if (!o.ok)
-            ++failures_;
-        if (opts_.onCellDone)
-            opts_.onCellDone(idx, o);
-        emit(CellEventKind::Done, idx, &o);
-    };
-
-    auto mergeFresh = [&](std::vector<CellOutcome> fresh) {
-        for (const BatchUnit &unit : units) {
-            for (std::size_t idx : unit)
-                outcomes_[idx] = std::move(fresh[idx]);
-        }
-    };
-
-#ifdef SVW_HAVE_FORK_POOL
-    // Any --threads>=1 / --jobs>1 request takes its pool — even for a
-    // single selected cell — so the advertised exception containment
-    // does not silently depend on the cell count. --threads=1 is the
-    // thread pool, not the sequential path, for the same reason.
-    if (opts_.threads >= 1 && !units.empty()) {
-        mergeFresh(runThreadPool(spec_, units, poolOpts, opts_.threads));
-    } else if (opts_.jobs > 1 && !units.empty()) {
-        mergeFresh(runPool(spec_,
-                           std::deque<BatchUnit>(units.begin(),
-                                                 units.end()),
-                           poolOpts));
-    } else {
-        for (const BatchUnit &unit : units) {
-            for (std::size_t idx : unit)
-                emit(CellEventKind::Started, idx, nullptr);
-            std::vector<CellOutcome> outs =
-                runUnitHere(spec_, unit, opts_.profile);
-            for (std::size_t i = 0; i < unit.size(); ++i)
-                record(unit[i], std::move(outs[i]), CellEventKind::Done);
-        }
+    start(cb);
+    while (step()) {
+        if (workers_.empty())
+            continue;
+        // Workers are busy: sleep until one of them reports. EINTR
+        // just loops back through step().
+        pollfd p{wakeFd(), POLLIN, 0};
+        ::poll(&p, 1, -1);
     }
-#else
-    // No fork on this platform: a --jobs=N request degrades to the
-    // thread pool at the same width (still parallel, still contained
-    // per unit) instead of silently running sequentially.
-    unsigned threads = opts_.threads;
-    if (opts_.jobs > 1 && threads == 0) {
-        svw_warn("--jobs requires fork(); falling back to --threads=",
-                 opts_.jobs);
-        threads = opts_.jobs;
-    }
-    if (threads >= 1 && !units.empty()) {
-        mergeFresh(runThreadPool(spec_, units, poolOpts, threads));
-    } else {
-        for (const BatchUnit &unit : units) {
-            for (std::size_t idx : unit)
-                emit(CellEventKind::Started, idx, nullptr);
-            std::vector<CellOutcome> outs =
-                runUnitHere(spec_, unit, opts_.profile);
-            for (std::size_t i = 0; i < unit.size(); ++i)
-                record(unit[i], std::move(outs[i]), CellEventKind::Done);
-        }
-    }
-#endif
-
-    recordedUnits_ = plannedUnits_;
-    finishedCalled_ = true;
-    storeFreshResults();
-    return SweepResults(spec_, std::move(outcomes_));
+    return finish();
 }
-
-// ---------------------------------------------------------------------------
-// Incremental driving
-// ---------------------------------------------------------------------------
 
 void
 SweepSession::start(SessionCallback cb)
 {
     svw_assert(!started_, "SweepSession::start on a started session");
-    // The fork pool's blocking poll loop cannot be sliced; incremental
-    // callers parallelize with --threads instead.
-    svw_assert(opts_.jobs <= 1,
-               "incremental sessions cannot drive a fork pool "
-               "(--jobs > 1); use threads");
     cb_ = std::move(cb);
     started_ = true;
-    probeAndPlan();
+    probeAndQueue();
     if (opts_.threads >= 1 && !pending_.empty()) {
         svw_assert(::pipe(wakePipe_) == 0,
                    "SweepSession wake pipe: ", std::strerror(errno));
@@ -950,31 +256,38 @@ SweepSession::finished() const
     if (!started_)
         return false;
     std::lock_guard<std::mutex> lock(mutex_);
-    return recordedUnits_ + discardedUnits_ >= plannedUnits_;
+    return recordedCells_ + discardedCells_ >= queuedCells_;
 }
 
+/**
+ * Worker thread body: pull queued cells and run them in this address
+ * space, sharing the process ProgramCache (thread-safe build-once) and
+ * the executor's atomic counters. Everything a cell *writes* is
+ * thread-private (its Core, StatRegistry and MemoryImage, and its own
+ * completion record); everything shared is immutable or internally
+ * synchronized — so merged outcomes are byte-identical to the
+ * in-caller run by construction.
+ */
 void
 SweepSession::workerMain()
 {
     for (;;) {
-        BatchUnit unit;
+        std::size_t idx;
         {
             std::lock_guard<std::mutex> lock(mutex_);
             if (stop_ || pending_.empty())
                 return;
-            unit = std::move(pending_.front());
+            idx = pending_.front();
             pending_.pop_front();
             // Started notification: queued (not fired) so events
             // always reach the callback on the driving thread.
-            completed_.push_back(CompletedUnit{unit, {}, true});
+            completed_.push_back(Completion{idx, {}, true});
         }
         wakeDriver();
-        std::vector<CellOutcome> outs =
-            runUnitContained(spec_, unit, opts_.profile);
+        CellOutcome o = runCellContained(spec_.cell(idx), opts_.profile);
         {
             std::lock_guard<std::mutex> lock(mutex_);
-            completed_.push_back(
-                CompletedUnit{std::move(unit), std::move(outs), false});
+            completed_.push_back(Completion{idx, std::move(o), false});
         }
         wakeDriver();
     }
@@ -983,8 +296,6 @@ SweepSession::workerMain()
 void
 SweepSession::wakeDriver()
 {
-    if (wakePipe_[1] < 0)
-        return;
     const char b = 1;
     // Best-effort: EAGAIN means the pipe is already saturated with
     // wake bytes, which is as awake as a driver can be.
@@ -1004,42 +315,25 @@ SweepSession::drainCompletions()
         }
     }
     for (;;) {
-        std::deque<CompletedUnit> batch;
+        std::deque<Completion> drained;
         {
             std::lock_guard<std::mutex> lock(mutex_);
-            batch.swap(completed_);
+            drained.swap(completed_);
         }
-        if (batch.empty())
+        if (drained.empty())
             break;
-        for (CompletedUnit &cu : batch) {
-            if (cu.isStart) {
-                for (std::size_t idx : cu.unit)
-                    emit(CellEventKind::Started, idx, nullptr);
+        for (Completion &c : drained) {
+            if (c.isStart) {
+                emit(CellEventKind::Started, c.index, nullptr);
                 continue;
             }
-            for (std::size_t i = 0; i < cu.unit.size(); ++i)
-                record(cu.unit[i], std::move(cu.outcomes[i]),
-                       CellEventKind::Done);
-            std::lock_guard<std::mutex> lock(mutex_);
-            ++recordedUnits_;
+            {
+                std::lock_guard<std::mutex> lock(mutex_);
+                ++recordedCells_;
+            }
+            record(c.index, std::move(c.outcome), CellEventKind::Done);
         }
     }
-}
-
-void
-SweepSession::runUnitInCaller(const BatchUnit &unit)
-{
-    for (std::size_t idx : unit)
-        emit(CellEventKind::Started, idx, nullptr);
-    // Incremental execution contains exceptions per unit, whatever the
-    // thread count: a long-lived daemon must outlive a golden-model
-    // mismatch in one client's sweep.
-    std::vector<CellOutcome> outs =
-        runUnitContained(spec_, unit, opts_.profile);
-    for (std::size_t i = 0; i < unit.size(); ++i)
-        record(unit[i], std::move(outs[i]), CellEventKind::Done);
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++recordedUnits_;
 }
 
 bool
@@ -1051,16 +345,14 @@ SweepSession::step()
         drainCompletions();
         return !finished();
     }
-    BatchUnit unit;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (!pending_.empty()) {
-            unit = std::move(pending_.front());
-            pending_.pop_front();
-        }
+    if (!pending_.empty()) {
+        const std::size_t idx = pending_.front();
+        pending_.pop_front();
+        emit(CellEventKind::Started, idx, nullptr);
+        CellOutcome o = runCellContained(spec_.cell(idx), opts_.profile);
+        ++recordedCells_;
+        record(idx, std::move(o), CellEventKind::Done);
     }
-    if (!unit.empty())
-        runUnitInCaller(unit);
     return !finished();
 }
 
@@ -1068,8 +360,7 @@ void
 SweepSession::abort()
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    aborted_ = true;
-    discardedUnits_ += pending_.size();
+    discardedCells_ += pending_.size();
     pending_.clear();
 }
 
@@ -1090,7 +381,7 @@ SweepSession::finish()
                "SweepSession::finish outside start()..finish()");
     finishedCalled_ = true;
     // Workers exit once pending_ drains (or abort() cleared it); the
-    // join bounds on the in-flight units, whose completions are still
+    // join bounds on the in-flight cells, whose completions are still
     // recorded — they cost the simulation time either way, so their
     // results should reach the caches.
     joinWorkers();
@@ -1098,10 +389,6 @@ SweepSession::finish()
     storeFreshResults();
     return SweepResults(spec_, std::move(outcomes_));
 }
-
-// ---------------------------------------------------------------------------
-// Legacy entry point
-// ---------------------------------------------------------------------------
 
 SweepResults
 runSweep(const SweepSpec &spec, const SweepOptions &opts)

@@ -3,41 +3,45 @@
  * SweepSession: the sweep engine's primary entry point.
  *
  * A session owns one sweep end to end — spec selection (sharding),
- * result-cache probing, co-simulation unit planning, and execution —
- * and streams per-cell events to its caller as the sweep progresses:
- * cell started, cell done, and cached-hit, each carrying the lossless
- * RunResult JSON line (serialize.hh runResultToJson) for completed
- * cells. The legacy one-shot runSweep (executor.hh) is a thin wrapper
- * that opens a session and runs it to completion; the bench binaries
- * and the sweepd service daemon are both clients of this API.
+ * result-cache probing, and execution — and streams per-cell events to
+ * its caller as the sweep progresses: cell started, cell done, and
+ * cached-hit, each carrying the lossless RunResult JSON line
+ * (serialize.hh runResultToJson) for completed cells. The one-shot
+ * runSweep (executor.hh) is a thin wrapper that opens a session and
+ * runs it to completion; the bench binaries and the sweepd service
+ * daemon are both clients of this API.
  *
- * Two driving styles:
+ * One execution path, two executors. start(cb) probes the caches
+ * (firing CachedHit events) and queues the remaining cells; step()
+ * then advances the sweep one slice at a time, so a single-threaded
+ * event loop (sweepd) can interleave many sessions with socket I/O:
  *
- *  - Blocking: run(cb) executes the whole sweep (in-process,
- *    --threads thread pool, or --jobs fork pool per the options) and
- *    returns the merged SweepResults. Exceptions keep their runSweep
- *    semantics: the sequential path propagates cell failures, pooled
- *    paths contain them per unit.
+ *  - threads == 0: step() runs the next queued cell in the calling
+ *    thread (one cell per call — the event-loop slice).
+ *  - threads >= 1: start() launches that many worker threads, and
+ *    step() only drains finished cells without blocking. wakeFd() is
+ *    readable whenever completions are waiting, so the loop can poll
+ *    it alongside its sockets.
  *
- *  - Incremental: start(cb) probes the caches (firing CachedHit
- *    events) and plans the work; step() then advances the sweep one
- *    slice at a time so a single-threaded event loop (sweepd) can
- *    interleave many sessions with socket I/O. With threads == 0 a
- *    step() runs one planned unit in the calling thread; with
- *    threads >= 1 start() launches the worker threads and step()
- *    merely drains completed units — events always fire on the
- *    *driving* thread, and wakeFd() is readable whenever completions
- *    are waiting, so the loop can poll it alongside its sockets.
- *    Unlike the blocking sequential path, incremental execution
- *    contains exceptions per unit (a long-lived daemon must outlive a
- *    golden-model mismatch); abort() discards not-yet-started work so
- *    a disconnected client stops costing simulation time. finish()
- *    joins workers, writes successful fresh results back to the
- *    caches, and returns the merged results.
+ * Events always fire on the *driving* thread. finish() joins workers,
+ * writes successful fresh results back to the caches, and returns the
+ * merged results. run(cb) is exactly start(cb), step() until finished
+ * (blocking in poll(2) on wakeFd() while workers are busy), then
+ * finish().
+ *
+ * Every executor contains exceptions per cell: a cell that throws is
+ * recorded as a failed outcome carrying the exception text, and the
+ * sweep goes on (a long-lived daemon must outlive a golden-model
+ * mismatch; a figure binary reports the failure and exits 1). An
+ * exception thrown by the event callback itself propagates to the
+ * caller. abort() discards not-yet-started cells so a disconnected
+ * client stops costing simulation time. A cell that kills its process
+ * takes the session with it; crash isolation comes from running
+ * shards as separate processes (bench/sweep_driver.cc).
  *
  * Determinism: outcomes depend only on the cells, so the merged
- * results are byte-identical across every driving style, thread/job
- * count, and batch width — the invariant the CI diff gates enforce.
+ * results are byte-identical across driving styles and thread counts —
+ * the invariant the CI diff gates enforce.
  */
 
 #ifndef SVW_HARNESS_SESSION_HH
@@ -77,9 +81,9 @@ struct CellEvent
     /** Outcome for Done/CachedHit; null for Started. */
     const CellOutcome *outcome = nullptr;
     /** Lossless RunResult JSON line (runResultToJson) for successful
-     * Done/CachedHit events; empty otherwise. This is the same wire
-     * format the worker pool and the result cache use, so a stream
-     * consumer (sweepd clients) sees bit-exact metrics. */
+     * Done/CachedHit events; empty otherwise. This is the same format
+     * the result cache stores, so a stream consumer (sweepd clients)
+     * sees bit-exact metrics. */
     std::string resultLine;
 };
 
@@ -99,41 +103,38 @@ class SweepSession
     const SweepSpec &spec() const { return spec_; }
     const SweepOptions &options() const { return opts_; }
 
-    /** Run the whole sweep (blocking) and return merged results.
-     * Equivalent to runSweep(spec, opts) plus the event stream. */
+    /** Run the whole sweep (blocking) and return merged results:
+     * start(cb), step() until finished, finish(). */
     SweepResults run(const SessionCallback &cb = nullptr);
 
     // -- Incremental driving (sweepd's event loop) --------------------
 
-    /** Probe caches, plan units, and (threads >= 1) launch workers.
-     * Fires CachedHit events for cache-served cells. Incremental mode
-     * supports threads >= 1 or in-caller execution; a jobs > 1 fork
-     * pool is blocking-only (panics here). */
+    /** Probe caches, queue the remaining cells, and (threads >= 1)
+     * launch workers. Fires CachedHit events for cache-served cells. */
     void start(SessionCallback cb = nullptr);
 
     bool started() const { return started_; }
 
-    /** True once every planned unit is recorded or discarded. */
+    /** True once every queued cell is recorded or discarded. */
     bool finished() const;
 
     /**
-     * Advance the sweep. threads == 0: run the next planned unit in
-     * the calling thread (one unit per call — the event-loop slice).
-     * threads >= 1: drain completed units from the workers without
-     * blocking. Events fire on this thread either way.
+     * Advance the sweep. threads == 0: run the next queued cell in the
+     * calling thread. threads >= 1: drain finished cells from the
+     * workers without blocking. Events fire on this thread either way.
      * @return false once the session is finished.
      */
     bool step();
 
     /**
      * Readable whenever worker completions are waiting to be drained
-     * (threads >= 1 incremental mode); -1 otherwise. Poll it next to
-     * the sockets: when it fires, call step().
+     * (threads >= 1); -1 otherwise. Poll it next to the sockets: when
+     * it fires, call step().
      */
     int wakeFd() const { return wakePipe_[0]; }
 
-    /** Discard all not-yet-started units (a disconnected client). The
-     * in-flight unit, if any, still completes and is recorded. */
+    /** Discard all not-yet-started cells (a disconnected client). The
+     * in-flight cells, if any, still complete and are recorded. */
     void abort();
 
     /** Join workers, drain remaining events, write fresh results to
@@ -152,12 +153,9 @@ class SweepSession
     std::size_t cacheHits() const { return cacheHits_; }
 
   private:
-    using BatchUnit = std::vector<std::size_t>;
-
-    void probeAndPlan();
+    void probeAndQueue();
     void record(std::size_t idx, CellOutcome o, CellEventKind kind);
     void emit(CellEventKind kind, std::size_t idx, const CellOutcome *o);
-    void runUnitInCaller(const BatchUnit &unit);
     void workerMain();
     void wakeDriver();
     void drainCompletions();
@@ -171,34 +169,33 @@ class SweepSession
     std::vector<CellOutcome> outcomes_;
     std::optional<ResultCache> cache_;
     std::vector<std::pair<std::size_t, CellKey>> probed_;
-    std::deque<BatchUnit> pending_;
+    std::deque<std::size_t> pending_;  ///< cells still to run
 
     bool started_ = false;
     bool finishedCalled_ = false;
-    bool aborted_ = false;
     std::size_t selected_ = 0;
     std::size_t done_ = 0;
     std::size_t failures_ = 0;
     std::size_t cacheHits_ = 0;
-    std::size_t plannedUnits_ = 0;
-    std::size_t recordedUnits_ = 0;
-    std::size_t discardedUnits_ = 0;
+    std::size_t queuedCells_ = 0;
+    std::size_t recordedCells_ = 0;
+    std::size_t discardedCells_ = 0;
 
-    // Threaded incremental machinery: workers pull units from
-    // pending_ and push finished units here; the driving thread
-    // drains them in step(). One byte per completion keeps wakeFd
-    // readable while the queue is non-empty.
-    struct CompletedUnit
+    // Worker machinery (threads >= 1): workers pull cells from
+    // pending_ and push completions here; the driving thread drains
+    // them in step(). One byte per completion keeps wakeFd readable
+    // while the queue is non-empty.
+    struct Completion
     {
-        BatchUnit unit;
-        std::vector<CellOutcome> outcomes;
-        bool isStart = false;  ///< a Started notification, no outcomes
+        std::size_t index = 0;
+        CellOutcome outcome;
+        bool isStart = false;  ///< a Started notification, no outcome
     };
     mutable std::mutex mutex_;
-    std::deque<CompletedUnit> completed_;
-    std::vector<std::thread> workers_;
+    std::deque<Completion> completed_;
     bool stop_ = false;
     int wakePipe_[2] = {-1, -1};
+    std::vector<std::thread> workers_;  ///< last: uses everything above
 };
 
 } // namespace svw::harness

@@ -7,17 +7,18 @@
  * names each cell up front — its group (figure row, usually the
  * workload), column label, workload, instruction budget, configuration,
  * and whether it is the row's speedup baseline — and the executor
- * (harness/executor.hh) runs the cells in-process or across a worker
- * pool and hands back a SweepResults merged in spec order. The bench
- * binaries only declare cells and format tables; iteration, sharding,
- * parallelism, and workload-program caching all live behind runSweep.
+ * (harness/executor.hh) runs the cells in the calling thread or on
+ * worker threads and hands back a SweepResults merged in spec order.
+ * The bench binaries only declare cells and format tables; iteration,
+ * sharding, parallelism, and workload-program caching all live behind
+ * runSweep.
  *
  * Determinism invariant: cell outcomes depend only on the cell (each
  * cell's simulation runs on one thread and is seeded), so the merged
  * results — and any report formatted from them — are byte-identical
- * for every --jobs and --threads value and equal to the sequential
- * in-process run. Parallelism only reorders *when* cells run, never
- * what they compute.
+ * for every --threads value and equal to the sequential in-caller
+ * run. Parallelism only reorders *when* cells run, never what they
+ * compute.
  */
 
 #ifndef SVW_HARNESS_SWEEP_HH
@@ -55,8 +56,8 @@ struct SweepCell
      * > 1 implies the same exclusion; this flag covers --reps=1.
      */
     bool neverCache = false;
-    /** Optional per-cycle hook (invalidation injectors). Runs in the
-     * executing process — workers inherit it through fork. */
+    /** Optional per-cycle hook (invalidation injectors). Runs on the
+     * thread that executes the cell. */
     std::function<void(Core &)> hook;
 
     /** Unique cell name: "group/label". */

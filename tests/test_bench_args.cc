@@ -2,7 +2,7 @@
  * @file
  * Bench command-line parsing tests (bench/bench_common.hh). Death
  * tests pin the exit-2 rejection contract: malformed numbers —
- * including trailing garbage like `--jobs=4x`, which a raw strtoull
+ * including trailing garbage like `--threads=4x`, which a raw strtoull
  * would silently truncate to 4 — out-of-range values, and invalid
  * shard splits must all fail fast, never run a wrong sweep.
  */
@@ -52,18 +52,18 @@ parseDaemon(std::vector<std::string> args)
 
 TEST(BenchArgs, ParsesWellFormedFlags)
 {
-    const BenchArgs a = parse({"--insts=50000", "--bench=mcf", "--jobs=4",
-                               "--shard=1/3", "--cache-dir=/tmp/c"});
+    const BenchArgs a = parse({"--insts=50000", "--bench=mcf",
+                               "--threads=4", "--shard=1/3",
+                               "--cache-dir=/tmp/c"});
     EXPECT_EQ(a.insts, 50'000u);
     EXPECT_EQ(a.only, "mcf");
-    EXPECT_EQ(a.jobs, 4u);
+    EXPECT_EQ(a.threads, 4u);
     EXPECT_EQ(a.shardIndex, 1u);
     EXPECT_EQ(a.shardCount, 3u);
     EXPECT_EQ(a.cacheDir, "/tmp/c");
     EXPECT_FALSE(a.noCache);
     EXPECT_EQ(sweepOptions(a).cacheDir, "/tmp/c");
 
-    EXPECT_EQ(parse({}).jobs, 1u);
     EXPECT_EQ(parse({"--quick"}).insts, 20'000u);
     EXPECT_EQ(parseFlagNumber("007", "--x"), 7u);
 }
@@ -72,14 +72,8 @@ TEST(BenchArgs, ThreadsFlagParsesAndPlumbs)
 {
     const BenchArgs a = parse({"--threads=4"});
     EXPECT_EQ(a.threads, 4u);
-    EXPECT_EQ(a.jobs, 1u);
     EXPECT_EQ(sweepOptions(a).threads, 4u);
-    EXPECT_EQ(parse({}).threads, 0u);  // default: thread pool off
-
-    // --jobs=1 is the do-nothing default, so pairing it with
-    // --threads is not a conflict.
-    const BenchArgs b = parse({"--jobs=1", "--threads=2"});
-    EXPECT_EQ(b.threads, 2u);
+    EXPECT_EQ(parse({}).threads, 0u);  // default: cells run in the caller
 }
 
 TEST(BenchArgs, NoCacheOverridesCacheDir)
@@ -93,19 +87,19 @@ using BenchArgsDeath = ::testing::Test;
 
 TEST(BenchArgsDeath, TrailingGarbageIsRejectedNotTruncated)
 {
-    // The regression this file exists for: "--jobs=4x" must exit 2,
-    // not silently run with jobs=4.
-    EXPECT_EXIT(parse({"--jobs=4x"}), ::testing::ExitedWithCode(2),
-                "bad number '4x' for --jobs");
+    // The regression this file exists for: "--threads=4x" must exit
+    // 2, not silently run with threads=4.
+    EXPECT_EXIT(parse({"--threads=4x"}), ::testing::ExitedWithCode(2),
+                "bad number '4x' for --threads");
     EXPECT_EXIT(parse({"--insts=100k"}), ::testing::ExitedWithCode(2),
                 "bad number '100k' for --insts");
     EXPECT_EXIT(parse({"--shard=1x/2"}), ::testing::ExitedWithCode(2),
                 "bad number '1x' for --shard");
     EXPECT_EXIT(parse({"--shard=0/2x"}), ::testing::ExitedWithCode(2),
                 "bad number '2x' for --shard");
-    EXPECT_EXIT(parse({"--jobs= 4"}), ::testing::ExitedWithCode(2),
+    EXPECT_EXIT(parse({"--threads= 4"}), ::testing::ExitedWithCode(2),
                 "bad number");
-    EXPECT_EXIT(parse({"--jobs=0x10"}), ::testing::ExitedWithCode(2),
+    EXPECT_EXIT(parse({"--threads=0x10"}), ::testing::ExitedWithCode(2),
                 "bad number");
     EXPECT_EXIT(parse({"--insts=1e6"}), ::testing::ExitedWithCode(2),
                 "bad number");
@@ -113,32 +107,32 @@ TEST(BenchArgsDeath, TrailingGarbageIsRejectedNotTruncated)
 
 TEST(BenchArgsDeath, SignsEmptiesAndOverflowAreRejected)
 {
-    EXPECT_EXIT(parse({"--jobs=-1"}), ::testing::ExitedWithCode(2),
+    EXPECT_EXIT(parse({"--threads=-1"}), ::testing::ExitedWithCode(2),
                 "bad number");
-    EXPECT_EXIT(parse({"--jobs="}), ::testing::ExitedWithCode(2),
+    EXPECT_EXIT(parse({"--threads="}), ::testing::ExitedWithCode(2),
                 "bad number");
     // Beyond uint64.
     EXPECT_EXIT(parse({"--insts=18446744073709551616"}),
                 ::testing::ExitedWithCode(2), "bad number");
     // Fits uint64 but not unsigned: no silent truncation wrap.
-    EXPECT_EXIT(parse({"--jobs=4294967296"}),
+    EXPECT_EXIT(parse({"--threads=4294967296"}),
                 ::testing::ExitedWithCode(2), "out of range");
 }
 
 TEST(BenchArgsDeath, InvalidCombinationsAndUnknownFlagsExit2)
 {
-    EXPECT_EXIT(parse({"--jobs=0"}), ::testing::ExitedWithCode(2),
-                "need --jobs>=1");
     EXPECT_EXIT(parse({"--shard=2/2"}), ::testing::ExitedWithCode(2),
                 "--shard=i/n with i<n");
     EXPECT_EXIT(parse({"--shard=3"}), ::testing::ExitedWithCode(2),
                 "--shard=i/n with i<n");
-    EXPECT_EXIT(parse({"--jobs=2", "--threads=2"}),
-                ::testing::ExitedWithCode(2), "mutually exclusive");
-    EXPECT_EXIT(parse({"--threads=4x"}), ::testing::ExitedWithCode(2),
-                "bad number '4x' for --threads");
     EXPECT_EXIT(parse({"--frobnicate"}), ::testing::ExitedWithCode(2),
                 "unknown arg --frobnicate");
+    // The removed fork-pool and co-simulation flags fail loudly, so an
+    // old script cannot silently run a different sweep.
+    EXPECT_EXIT(parse({"--jobs=4"}), ::testing::ExitedWithCode(2),
+                "unknown arg --jobs=4");
+    EXPECT_EXIT(parse({"--batch=1"}), ::testing::ExitedWithCode(2),
+                "unknown arg --batch=1");
     EXPECT_EXIT(parse({"positional"}), ::testing::ExitedWithCode(2),
                 "unknown arg positional");
 }
@@ -215,7 +209,7 @@ TEST(BenchArgs, FamiliesAndMemCacheFlagsParseAndDefault)
     EXPECT_EQ(parse({"--families=synth"}).families, Families::Synth);
     EXPECT_EQ(parse({"--families=all"}).families, Families::All);
 
-    // Generous default so batch binaries never notice the cap; 0
+    // Generous default so figure binaries never notice the cap; 0
     // turns the bound off entirely.
     EXPECT_EQ(parse({}).memCacheMaxMb, 512u);
     EXPECT_EQ(parse({"--mem-cache-max-mb=64"}).memCacheMaxMb, 64u);

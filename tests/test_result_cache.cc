@@ -315,9 +315,9 @@ TEST(ResultCache, ColdPopulatesWarmServesByteIdenticalWithZeroRuns)
     }
     EXPECT_EQ(resultsJson(cold), resultsJson(warm));
 
-    // The pool path serves hits identically (nothing left to deal).
+    // Worker threads serve hits identically (nothing left to run).
     SweepOptions par = opts;
-    par.jobs = 4;
+    par.threads = 4;
     const std::uint64_t calls2 = runCellCalls();
     const SweepResults warmPar = runSweep(spec, par);
     EXPECT_EQ(runCellCalls() - calls2, 0u);

@@ -70,6 +70,21 @@ struct Recorder
         return static_cast<std::size_t>(
             std::count(kinds.begin(), kinds.end(), k));
     }
+
+    /** Each cell's Started precedes its Done. */
+    void expectStartedBeforeDone() const
+    {
+        for (std::size_t i = 0; i < kinds.size(); ++i) {
+            if (kinds[i] != CellEventKind::Done)
+                continue;
+            bool startedBefore = false;
+            for (std::size_t j = 0; j < i; ++j)
+                if (kinds[j] == CellEventKind::Started &&
+                    indices[j] == indices[i])
+                    startedBefore = true;
+            EXPECT_TRUE(startedBefore) << "cell " << indices[i];
+        }
+    }
 };
 
 } // namespace
@@ -79,20 +94,26 @@ TEST(SweepSession, BlockingRunMatchesRunSweepAndStreamsEvents)
     const SweepSpec spec = smallSpec(3000);
     const SweepResults direct = runSweep(spec, SweepOptions{});
 
-    Recorder rec;
-    SweepSession session(spec, SweepOptions{});
-    const SweepResults viaSession = session.run(rec.callback());
+    for (unsigned threads : {0u, 2u}) {
+        SweepOptions opts;
+        opts.threads = threads;
+        Recorder rec;
+        SweepSession session(spec, opts);
+        const SweepResults viaSession = session.run(rec.callback());
 
-    EXPECT_EQ(resultLines(direct), resultLines(viaSession));
-    EXPECT_EQ(rec.count(CellEventKind::Started), spec.size());
-    EXPECT_EQ(rec.count(CellEventKind::Done), spec.size());
-    EXPECT_EQ(rec.count(CellEventKind::CachedHit), 0u);
-    // Every successful Done event carried the lossless result line.
-    std::vector<std::string> expect = resultLines(direct);
-    std::vector<std::string> got = rec.lines;
-    std::sort(expect.begin(), expect.end());
-    std::sort(got.begin(), got.end());
-    EXPECT_EQ(expect, got);
+        EXPECT_EQ(resultLines(direct), resultLines(viaSession))
+            << "threads=" << threads;
+        EXPECT_EQ(rec.count(CellEventKind::Started), spec.size());
+        EXPECT_EQ(rec.count(CellEventKind::Done), spec.size());
+        EXPECT_EQ(rec.count(CellEventKind::CachedHit), 0u);
+        rec.expectStartedBeforeDone();
+        // Every successful Done event carried the lossless result line.
+        std::vector<std::string> expect = resultLines(direct);
+        std::vector<std::string> got = rec.lines;
+        std::sort(expect.begin(), expect.end());
+        std::sort(got.begin(), got.end());
+        EXPECT_EQ(expect, got) << "threads=" << threads;
+    }
 }
 
 TEST(SweepSession, IncrementalInCallerMatchesBlocking)
@@ -114,18 +135,7 @@ TEST(SweepSession, IncrementalInCallerMatchesBlocking)
     EXPECT_EQ(resultLines(direct), resultLines(res));
     EXPECT_EQ(session.cellsDone(), spec.size());
     EXPECT_EQ(rec.count(CellEventKind::Done), spec.size());
-
-    // Each cell's Started precedes its Done.
-    for (std::size_t i = 0; i < rec.kinds.size(); ++i) {
-        if (rec.kinds[i] != CellEventKind::Done)
-            continue;
-        bool startedBefore = false;
-        for (std::size_t j = 0; j < i; ++j)
-            if (rec.kinds[j] == CellEventKind::Started &&
-                rec.indices[j] == rec.indices[i])
-                startedBefore = true;
-        EXPECT_TRUE(startedBefore) << "cell " << rec.indices[i];
-    }
+    rec.expectStartedBeforeDone();
 }
 
 TEST(SweepSession, IncrementalThreadedDrainsViaWakeFd)
@@ -179,9 +189,7 @@ TEST(SweepSession, WarmMemoryCacheServesCachedHitsWithoutSimulating)
 TEST(SweepSession, AbortDiscardsPendingUnitsOnly)
 {
     const SweepSpec spec = smallSpec(3800);
-    SweepOptions opts;
-    opts.batch = 1;  // one cell per unit: a precise abort boundary
-    SweepSession session(spec, opts);
+    SweepSession session(spec, SweepOptions{});
     session.start();
     EXPECT_TRUE(session.step());  // run exactly one cell
     session.abort();
@@ -238,12 +246,4 @@ TEST(MemoryResultCacheLru, EvictsOldestFirstAndKeepsNewest)
     CellKey other = collide;
     other.material = "different";
     EXPECT_FALSE(cache.get(other, out));
-}
-
-TEST(SweepSession, IncrementalRejectsForkPool)
-{
-    SweepOptions opts;
-    opts.jobs = 4;
-    SweepSession session(smallSpec(100), opts);
-    EXPECT_THROW(session.start(), std::logic_error);
 }

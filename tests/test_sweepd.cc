@@ -206,7 +206,7 @@ TEST_F(SweepdTest, StreamedResultsMatchEngineByteForByte)
 {
     // The CLI binaries serialize the same engine outcomes with the
     // same runResultToJson, so matching the engine's sequential
-    // results in spec order IS matching the CLI at --jobs=1.
+    // results in spec order IS matching the CLI.
     const harness::SweepSpec spec =
         harness::fig5Spec({"gzip"}, 11'000);
     const harness::SweepResults direct =
