@@ -231,8 +231,6 @@ parseArgs(int argc, char **argv)
                 std::exit(2);
             }
             args.profile = true;
-        } else if (a.rfind("--benchmark", 0) == 0) {
-            continue;  // tolerate google-benchmark flags
         } else {
             std::fprintf(stderr,
                          "error: unknown arg %s\n"

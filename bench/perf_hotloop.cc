@@ -1,6 +1,6 @@
 /**
  * @file
- * Host-side simulator throughput tracker.
+ * Host-side simulator throughput tracker and perf-regression gate.
  *
  * Unlike the figure benches (which reproduce the paper's *simulated*
  * results), this binary measures how fast the simulator itself runs:
@@ -11,39 +11,164 @@
  * a small workload subset, and emits BENCH_hotloop.json so the perf
  * trajectory is machine-readable across PRs.
  *
- * The matrix runs as a sweep (harness/sweep.hh): each (workload,
- * config) cell is one timing cell with `reps` repetitions, the golden
- * check off, and the workload program shared across the workload's four
- * configs via the executor's program cache. The timed region per rep is
- * the whole cell (runOne: params/Core construction + run + stat
- * extraction) — slightly wider than the pre-PR4 core.run()-only clock,
- * so cross-PR comparisons straddling PR 4 read the new numbers as
- * conservative. `--threads=N` times the cells on N worker threads —
- * per-cell `seconds` then includes host contention, while the
- * `total_wall_seconds` field records the wall-clock win of parallel
- * sweeping; simulated `cycles` are identical for any thread count.
+ * The matrix runs as a sweep (harness/sweep.hh) with the golden check
+ * off and the workload program shared across the workload's configs
+ * via the executor's program cache. One untimed warm-up pass is
+ * followed by `reps` timed passes over the whole matrix; each cell
+ * reports its best pass (`seconds`) and its total across passes. The
+ * timed region per cell is the whole cell (runOne: params/Core
+ * construction + run + stat extraction). `--threads=N` times the
+ * cells on N worker threads — per-cell `seconds` then includes host
+ * contention, while the `total_wall_seconds` field records the
+ * wall-clock win of parallel sweeping; simulated `cycles` are
+ * identical for any thread count.
  *
  * Flags (in addition to the bench_common set):
- *   --out=FILE   JSON output path (default BENCH_hotloop.json)
- *   --reps=N     timing repetitions per cell; best-of-N is reported
+ *   --out=FILE     JSON output path (default BENCH_hotloop.json)
+ *   --reps=N       timed whole-matrix passes; best-of-N is reported
+ *   --history=F    per-commit sample history (BENCH_history.jsonl),
+ *                  with exactly one of:
+ *     --append     record each cell's per-pass times as one JSON line
+ *                  per cell, stamped with --commit=SHA
+ *     --check      test each cell's per-pass times against its most
+ *                  recent prior line (two-sided Mann-Whitney U) and
+ *                  exit 3 when any cell regressed significantly
+ *                  (p < 0.05 AND median slower) — a statistical gate
+ *                  instead of a mean diff against a lone snapshot
  */
 
 #include <algorithm>
+#include <cstdlib>
+#include <ctime>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <thread>
 
 #include "bench_common.hh"
+#include "harness/perf_stats.hh"
 
 using namespace svw;
 using namespace svw::bench;
 using namespace svw::harness;
+
+namespace {
+
+std::string
+jsonSampleLine(const std::string &commit, const std::string &cell,
+               std::uint64_t insts, const std::vector<double> &secs)
+{
+    std::ostringstream os;
+    os << "{\"commit\":\"" << commit << "\",\"cell\":\"" << cell
+       << "\",\"insts\":" << insts << ",\"unix_time\":"
+       << static_cast<long long>(std::time(nullptr))
+       << ",\"seconds\":[";
+    for (std::size_t i = 0; i < secs.size(); ++i) {
+        char buf[32];
+        std::snprintf(buf, sizeof(buf), "%.6f", secs[i]);
+        os << (i ? "," : "") << buf;
+    }
+    os << "]}";
+    return os.str();
+}
+
+/**
+ * Minimal extraction of `"cell":"NAME"` and `"seconds":[...]` from one
+ * history line (we wrote the format; unknown keys are ignored).
+ * @return false on a malformed line (skipped, like a corrupt cache
+ * entry).
+ */
+bool
+parseHistoryLine(const std::string &line, std::string &cell,
+                 std::vector<double> &secs)
+{
+    const std::size_t ck = line.find("\"cell\":\"");
+    if (ck == std::string::npos)
+        return false;
+    const std::size_t cs = ck + 8;
+    const std::size_t ce = line.find('"', cs);
+    if (ce == std::string::npos)
+        return false;
+    cell = line.substr(cs, ce - cs);
+
+    const std::size_t sk = line.find("\"seconds\":[");
+    if (sk == std::string::npos)
+        return false;
+    std::size_t p = sk + 11;
+    secs.clear();
+    while (p < line.size() && line[p] != ']') {
+        char *end = nullptr;
+        const double v = std::strtod(line.c_str() + p, &end);
+        if (end == line.c_str() + p)
+            return false;
+        secs.push_back(v);
+        p = static_cast<std::size_t>(end - line.c_str());
+        if (p < line.size() && line[p] == ',')
+            ++p;
+    }
+    return !secs.empty();
+}
+
+/** --check: @return true when any cell in @p fresh is significantly
+ * slower than its most recent sample in @p path. */
+bool
+historyRegressed(const std::string &path,
+                 const std::vector<std::pair<std::string,
+                                             std::vector<double>>> &fresh)
+{
+    std::map<std::string, std::vector<double>> prior;
+    std::ifstream in(path);
+    if (!in) {
+        std::fprintf(stderr,
+                     "perf_hotloop: no history at %s; nothing to check"
+                     " against\n",
+                     path.c_str());
+        return false;
+    }
+    std::string line;
+    while (std::getline(in, line)) {
+        std::string cell;
+        std::vector<double> secs;
+        if (parseHistoryLine(line, cell, secs))
+            prior[cell] = std::move(secs);  // last entry wins
+    }
+
+    bool regressed = false;
+    std::printf("%-24s %10s %10s %8s %8s  %s\n", "cell", "now (s)",
+                "prior (s)", "shift%", "p", "verdict");
+    for (const auto &[cell, now] : fresh) {
+        const auto it = prior.find(cell);
+        if (it == prior.end()) {
+            std::printf("%-24s  (no prior sample)\n", cell.c_str());
+            continue;
+        }
+        const MannWhitneyResult mw = mannWhitneyU(now, it->second);
+        const double medNow = median(now), medPrior = median(it->second);
+        const bool slower = mw.p < 0.05 && mw.medianShift > 0;
+        if (slower)
+            regressed = true;
+        std::printf("%-24s %10.4f %10.4f %+7.1f%% %8.4f  %s\n",
+                    cell.c_str(), medNow, medPrior,
+                    medPrior > 0
+                        ? 100.0 * (medNow - medPrior) / medPrior : 0.0,
+                    mw.p,
+                    slower ? "REGRESSION (significant)"
+                           : mw.p < 0.05 ? "faster (significant)"
+                                         : "no significant change");
+    }
+    return regressed;
+}
+
+} // namespace
 
 int
 main(int argc, char **argv)
 {
     std::string outPath = "BENCH_hotloop.json";
     unsigned reps = 3;
+    std::string historyPath;
+    bool historyAppend = false, historyCheck = false;
+    std::string commit = "unknown";
 
     // Pre-filter our private flags; bench_common rejects unknown ones.
     std::vector<char *> passDown;
@@ -54,11 +179,25 @@ main(int argc, char **argv)
             outPath = a.substr(6);
         else if (a.rfind("--reps=", 0) == 0)
             reps = std::max(1u, parseFlagUnsigned(a.substr(7), "--reps"));
+        else if (a.rfind("--history=", 0) == 0)
+            historyPath = a.substr(10);
+        else if (a == "--append")
+            historyAppend = true;
+        else if (a == "--check")
+            historyCheck = true;
+        else if (a.rfind("--commit=", 0) == 0)
+            commit = a.substr(9);
         else
             passDown.push_back(argv[i]);
     }
     const BenchArgs args =
         parseArgs(static_cast<int>(passDown.size()), passDown.data());
+    if ((historyAppend && historyCheck) ||
+        (historyAppend || historyCheck) == historyPath.empty()) {
+        std::fprintf(stderr, "error: --history=F takes exactly one of"
+                             " --append or --check\n");
+        return 2;
+    }
 
     // Workload subset: dense forwarding (gzip), pointer-chasing misses
     // (mcf), control + silent stores (crafty), RLE redundancy (perl.d).
@@ -88,12 +227,6 @@ main(int argc, char **argv)
             c.targetInsts = args.insts;
             c.config = cfg;
             c.goldenCheck = false;  // timing loop only
-            c.timingReps = reps;
-            // Wall time is this bench's product: a cached cell would
-            // report zero seconds and poison the trajectory. The
-            // engine refuses timingReps>1 cells anyway; this covers
-            // --reps=1.
-            c.neverCache = true;
             spec.add(c);
         }
     }
@@ -119,8 +252,6 @@ main(int argc, char **argv)
                 c.targetInsts = args.insts;
                 c.config = *cfg;
                 c.goldenCheck = false;
-                c.timingReps = reps;
-                c.neverCache = true;
                 spec.add(c);
             }
         }
@@ -129,43 +260,67 @@ main(int argc, char **argv)
     SweepOptions opts = sweepOptions(args);
     // The timed matrix is never profiled — clock reads at every stage
     // boundary would tax the very seconds this bench publishes.
-    // --profile instead runs a separate one-rep attribution pass after
-    // the timing sweeps (see below), so the trajectory stays
-    // comparable whether or not attribution was requested.
+    // --profile instead runs a separate attribution pass after the
+    // timing sweeps (see below), so the trajectory stays comparable
+    // whether or not attribution was requested.
     opts.profile = false;
-    // Every cell above is neverCache, so a --cache-dir would have no
-    // effect; say so rather than silently idling an advertised flag.
+    // Wall time is this bench's product: a cached cell would report
+    // zero seconds and poison the trajectory. The memory front is off
+    // (memCache is never set), and --cache-dir is dropped out loud
+    // rather than silently idling an advertised flag.
     if (!opts.cacheDir.empty()) {
         std::fprintf(stderr,
                      "warning: perf_hotloop ignores --cache-dir:"
                      " throughput cells are always simulated fresh\n");
         opts.cacheDir.clear();
     }
-    // Stream per-cell progress as outcomes arrive (spec order in the
-    // caller, completion order on worker threads): a multi-minute full
-    // sweep must not look hung.
-    auto printCell = [](const CellEvent &ev) {
-        if (ev.kind != CellEventKind::Done || !ev.outcome->ok)
-            return;
-        const CellOutcome &o = *ev.outcome;
-        const double minsts = o.seconds > 0.0
-            ? double(o.result.insts) / o.seconds / 1e6 : 0.0;
-        std::printf("%-8s %-24s %8.3f Minsts/s (%.3fs, %llu insts)\n",
-                    o.result.workload.c_str(), o.result.config.c_str(),
-                    minsts, o.seconds,
-                    static_cast<unsigned long long>(o.result.insts));
-        std::fflush(stdout);
-    };
 
-    const double wall0 = hostSeconds();
-    const SweepResults res = SweepSession(spec, opts).run(printCell);
-    const double totalWall = hostSeconds() - wall0;
+    // One untimed warm-up pass builds every workload program and
+    // settles page-cache and allocator state; its results are the
+    // metrics reported below. Each timed pass then runs the whole
+    // matrix, so host drift hits every cell alike. Per cell: every
+    // pass's time (the --history sample), the best and the total.
+    const SweepResults res = runSweep(spec, opts);
     const bool sweepFailed = reportFailures(res) != 0;
+    std::vector<std::vector<double>> samples(spec.size());
+    double totalWall = 0.0;
+    for (unsigned r = 0; r < reps; ++r) {
+        const double t0 = hostSeconds();
+        const SweepResults pass = runSweep(spec, opts);
+        const double wall = hostSeconds() - t0;
+        totalWall += wall;
+        for (std::size_t i = 0; i < spec.size(); ++i) {
+            const CellOutcome &o = pass.outcome(i);
+            if (!o.ok || !res.outcome(i).ok)
+                continue;
+            if (o.result.cycles != res.outcome(i).result.cycles)
+                svw_fatal("cycle mismatch across passes in ",
+                          spec.cell(i).name(), ": ",
+                          res.outcome(i).result.cycles, " vs ",
+                          o.result.cycles);
+            samples[i].push_back(o.seconds);
+        }
+        // A multi-minute full run must not look hung.
+        std::printf("pass %u/%u: %.3fs\n", r + 1, reps, wall);
+        std::fflush(stdout);
+    }
+    std::vector<double> best(spec.size(), 0.0), total(spec.size(), 0.0);
+    for (std::size_t i = 0; i < spec.size(); ++i) {
+        if (samples[i].empty())
+            continue;
+        best[i] = *std::min_element(samples[i].begin(), samples[i].end());
+        for (const double t : samples[i])
+            total[i] += t;
+        const RunResult &r = res.outcome(i).result;
+        std::printf("%-8s %-24s %8.3f Minsts/s (%.3fs, %llu insts)\n",
+                    r.workload.c_str(), r.config.c_str(),
+                    best[i] > 0.0 ? double(r.insts) / best[i] / 1e6 : 0.0,
+                    best[i], static_cast<unsigned long long>(r.insts));
+    }
 
     // Thread scaling: the same matrix in its figure-sweep shape —
-    // golden check on, one timing rep — timed at --threads=1/2/4,
-    // interleaved per rep so host drift hits every width equally;
-    // best-of-reps per width. Simulated results are byte-identical at
+    // golden check on — timed at --threads=1/2/4, interleaved per rep
+    // so host drift hits every width equally; best-of-reps per width. Simulated results are byte-identical at
     // every width (CI gates the figures on that) — this records the
     // honest host wall-clock curve, which needs a multi-core host.
     SweepSpec scaling("hotloop_thread_scaling");
@@ -210,11 +365,10 @@ main(int argc, char **argv)
     double totalInsts = 0.0, totalSecs = 0.0;
     std::size_t nCells = 0;
     for (std::size_t i = 0; i < spec.size(); ++i) {
-        const CellOutcome &o = res.outcome(i);
-        if (!o.ran || !o.ok)
+        if (samples[i].empty())
             continue;
-        totalInsts += double(o.result.insts);
-        totalSecs += o.seconds;
+        totalInsts += double(res.outcome(i).result.insts);
+        totalSecs += best[i];
         ++nCells;
     }
     const double aggregate =
@@ -223,8 +377,8 @@ main(int argc, char **argv)
                 "(%.3fs wall at --threads=%u)\n",
                 aggregate, nCells, totalWall, args.threads);
 
-    // Attribution pass (--profile): one *profiled* rep per cell in a
-    // separate sweep, after all the timing above. Per-stage host-ns
+    // Attribution pass (--profile): one *profiled* pass over the
+    // matrix, after all the timing above. Per-stage host-ns
     // attribution lands here as a JSON stanza (wheel_advance nests in
     // complete, lsu_search in issue — the folded-stack file written by
     // bench_common's --profile=F keeps the same shape); "harness" is
@@ -232,25 +386,19 @@ main(int argc, char **argv)
     // construction, stat extraction).
     std::string profStanza;
     if (args.profile) {
-        SweepSpec pspec("perf_hotloop_profile");
-        for (std::size_t i = 0; i < spec.size(); ++i) {
-            SweepCell c = spec.cell(i);
-            c.timingReps = 1;
-            pspec.add(c);
-        }
         SweepOptions pOpts = opts;
         pOpts.profile = true;
-        const SweepResults pres = runSweep(pspec, pOpts);
+        const SweepResults pres = runSweep(spec, pOpts);
         std::ostringstream os;
         std::uint64_t agg[prof::NumStages] = {};
         std::uint64_t aggCell = 0;
         os << ",\n  \"profile\": {\n    \"unit\": \"host_ns\",\n"
-           << "    \"note\": \"separate 1-rep profiled pass; the timed"
+           << "    \"note\": \"separate profiled pass; the timed"
               " cells above never carry the profiler's clock-read"
               " overhead\",\n"
            << "    \"cells\": [\n";
         bool pFirst = true;
-        for (std::size_t i = 0; i < pspec.size(); ++i) {
+        for (std::size_t i = 0; i < spec.size(); ++i) {
             const CellOutcome &o = pres.outcome(i);
             if (!o.ran || !o.ok || !o.result.profTicks)
                 continue;
@@ -265,7 +413,7 @@ main(int argc, char **argv)
             if (!pFirst)
                 os << ",\n";
             pFirst = false;
-            os << "      {\"cell\": \"" << pspec.cell(i).name() << "\"";
+            os << "      {\"cell\": \"" << spec.cell(i).name() << "\"";
             for (unsigned s = 0; s < prof::NumStages; ++s)
                 os << ", \""
                    << prof::stageName(static_cast<prof::Stage>(s))
@@ -303,22 +451,22 @@ main(int argc, char **argv)
        << "  \"cells\": [\n";
     bool first = true;
     for (std::size_t i = 0; i < spec.size(); ++i) {
-        const CellOutcome &o = res.outcome(i);
-        if (!o.ran || !o.ok)
+        if (samples[i].empty())
             continue;
-        const double minsts = o.seconds > 0.0
-            ? double(o.result.insts) / o.seconds / 1e6 : 0.0;
-        const double mcycles = o.seconds > 0.0
-            ? double(o.result.cycles) / o.seconds / 1e6 : 0.0;
+        const RunResult &r = res.outcome(i).result;
+        const double minsts =
+            best[i] > 0.0 ? double(r.insts) / best[i] / 1e6 : 0.0;
+        const double mcycles =
+            best[i] > 0.0 ? double(r.cycles) / best[i] / 1e6 : 0.0;
         if (!first)
             js << ",\n";
         first = false;
-        js << "    {\"workload\": \"" << o.result.workload << "\", "
-           << "\"config\": \"" << o.result.config << "\", "
-           << "\"insts\": " << o.result.insts << ", "
-           << "\"cycles\": " << o.result.cycles << ", "
-           << "\"seconds\": " << o.seconds << ", "
-           << "\"host_wall_seconds\": " << o.hostWallSeconds << ", "
+        js << "    {\"workload\": \"" << r.workload << "\", "
+           << "\"config\": \"" << r.config << "\", "
+           << "\"insts\": " << r.insts << ", "
+           << "\"cycles\": " << r.cycles << ", "
+           << "\"seconds\": " << best[i] << ", "
+           << "\"host_wall_seconds\": " << total[i] << ", "
            << "\"minsts_per_sec\": " << minsts << ", "
            << "\"mcycles_per_sec\": " << mcycles << "}";
     }
@@ -340,5 +488,26 @@ main(int argc, char **argv)
        << "\n  }"
        << profStanza << "\n}\n";
     std::printf("wrote %s\n", outPath.c_str());
-    return sweepFailed ? 1 : 0;
+    if (sweepFailed)
+        return 1;
+
+    std::vector<std::pair<std::string, std::vector<double>>> fresh;
+    for (std::size_t i = 0; i < spec.size(); ++i)
+        if (!samples[i].empty())
+            fresh.emplace_back(spec.cell(i).name(), samples[i]);
+    if (historyAppend) {
+        std::ofstream out(historyPath, std::ios::app);
+        if (!out) {
+            std::fprintf(stderr, "error: cannot open %s\n",
+                         historyPath.c_str());
+            return 2;
+        }
+        for (const auto &[cell, secs] : fresh)
+            out << jsonSampleLine(commit, cell, args.insts, secs) << "\n";
+        std::printf("appended %zu cell samples to %s (commit %s)\n",
+                    fresh.size(), historyPath.c_str(), commit.c_str());
+    } else if (historyCheck && historyRegressed(historyPath, fresh)) {
+        return 3;
+    }
+    return 0;
 }

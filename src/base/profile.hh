@@ -7,12 +7,13 @@
  * The tick loop is the simulator's hot path, so the profiler must
  * never cost anything when it is off: Core keeps a single nullable
  * pointer to a StageTimes block, and every instrumentation site is one
- * predictable `if (stageProf)` branch (the profiled tick body is a
- * separate function, so the unprofiled path's code layout is
- * untouched). When it is on, stage boundaries read a monotonic clock
- * and charge the delta to the stage's counter — pure host-side
- * observation that never touches timing-visible simulated state, so a
- * profiled run retires bit-identical cycles and metrics.
+ * predictable `if (stageProf)` branch. The tick body is one stage
+ * sequence compiled twice (Core::tickBody<Profiled>), so the plain
+ * instantiation reads no clock and the two can never drift apart.
+ * When it is on, stage boundaries read a monotonic clock and charge
+ * the delta to the stage's counter — pure host-side observation that
+ * never touches timing-visible simulated state, so a profiled run
+ * retires bit-identical cycles and metrics.
  *
  * Two stages are nested scopes: LsuSearch (the LQ/SQ/SSQ associative
  * walks, charged inside Issue) and WheelAdvance (the completion event

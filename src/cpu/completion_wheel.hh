@@ -1,13 +1,14 @@
 /**
  * @file
- * Completion event wheel: the core's "result arrives at cycle C" queue.
+ * Timing wheel: the core's "result arrives at cycle C" queue and the
+ * issue queue's "sleeper wakes at cycle C" queue.
  *
  * A bucketed timing wheel replaces the old std::multimap<Cycle, seq>:
  * scheduling and per-cycle drain are O(1) plus the events themselves,
  * with no node allocation on the hot path. The wheel is sized past the
- * worst common completion latency (memory access + buses + extra load
- * latency); the rare event beyond the horizon goes to a sorted overflow
- * map.
+ * worst common scheduling delta (for completions: memory access +
+ * buses + extra load latency); the rare event beyond the horizon goes
+ * to a sorted overflow map.
  *
  * Ordering matches the multimap exactly. Events for the same cycle fire
  * in insertion order: an overflow event due at cycle C was necessarily
@@ -26,43 +27,38 @@
 #define SVW_CPU_COMPLETION_WHEEL_HH
 
 #include <cstddef>
-#include <cstdint>
 #include <map>
-#include <utility>
 #include <vector>
 
-#include "base/hostopt.hh"
 #include "base/logging.hh"
 #include "base/types.hh"
 
 namespace svw {
 
-/** Bucketed event wheel keyed by completion cycle. */
+/** Bucketed event wheel of @p T payloads keyed by due cycle. */
+template <typename T>
 class CompletionWheel
 {
   public:
     /** @p horizon must be a power of two and exceed the largest common
      * scheduling delta (larger deltas still work via overflow). */
     explicit CompletionWheel(std::size_t horizon = 1024)
-        : mask(horizon - 1), buckets(horizon), busy((horizon + 63) / 64, 0)
+        : mask(horizon - 1), buckets(horizon)
     {
         svw_assert(horizon > 1 && (horizon & (horizon - 1)) == 0,
                    "wheel horizon must be a power of two");
     }
 
-    /** Schedule @p seq to fire at cycle @p due (clamped to now + 1: an
+    /** Schedule @p item to fire at cycle @p due (clamped to now + 1: an
      * already-due event fires on the next drain, like the multimap). */
-    void schedule(Cycle now, Cycle due, InstSeqNum seq)
+    void schedule(Cycle now, Cycle due, const T &item)
     {
         if (due <= now)
             due = now + 1;
-        if (due - now <= mask) {
-            const std::size_t b = due & mask;
-            buckets[b].push_back(seq);
-            busy[b >> 6] |= std::uint64_t(1) << (b & 63);
-        } else {
-            overflow.emplace(due, seq);
-        }
+        if (due - now <= mask)
+            buckets[due & mask].push_back(item);
+        else
+            overflow.emplace(due, item);
         ++pending;
     }
 
@@ -71,49 +67,34 @@ class CompletionWheel
 
     /**
      * Fire every event due at (or before) @p now, in insertion order,
-     * invoking @p fn(seq). @p fn may schedule new events (they are due
+     * invoking @p fn(item). @p fn may schedule new events (they are due
      * strictly after @p now) but must not call drain reentrantly.
      */
     template <typename F>
     void drain(Cycle now, F &&fn)
     {
         while (!overflow.empty() && overflow.begin()->first <= now) {
-            const InstSeqNum seq = overflow.begin()->second;
+            const T item = overflow.begin()->second;
             overflow.erase(overflow.begin());
             --pending;
-            fn(seq);
+            fn(item);
         }
-        const std::size_t b = now & mask;
-        if (!hostopt::legacy(hostopt::LegacyWheelDrain)) {
-            // Occupancy bitmap: 16 hot words cover the 1024 buckets, so
-            // the common no-event tick skips the scattered load of this
-            // slot's vector header (profiling put the per-tick wheel
-            // advance at ~10% of host time; most ticks drain nothing).
-            // A set bit over an empty bucket (left by a legacy-mode
-            // drain in A/B runs) just falls through to the empty check.
-            const std::uint64_t bit = std::uint64_t(1) << (b & 63);
-            if (!(busy[b >> 6] & bit))
-                return;
-            busy[b >> 6] &= ~bit;
-        }
-        auto &bucket = buckets[b];
+        auto &bucket = buckets[now & mask];
         if (bucket.empty())
             return;
-        // Swap out the bucket: fn may schedule, but never for this slot
-        // (deltas are clamped to [1, mask]), so scratch sees it all.
-        scratch.clear();
-        scratch.swap(bucket);
-        pending -= scratch.size();
-        for (const InstSeqNum seq : scratch)
-            fn(seq);
+        // fn may schedule, but never into this slot (deltas are clamped
+        // to [1, mask]), so the bucket is stable while it is walked and
+        // keeps its own capacity for the next lap.
+        pending -= bucket.size();
+        for (const T &item : bucket)
+            fn(item);
+        bucket.clear();
     }
 
   private:
     std::size_t mask;
-    std::vector<std::vector<InstSeqNum>> buckets;
-    std::vector<std::uint64_t> busy;  ///< one bit per bucket: non-empty
-    std::multimap<Cycle, InstSeqNum> overflow;
-    std::vector<InstSeqNum> scratch;  ///< reused drain buffer
+    std::vector<std::vector<T>> buckets;
+    std::multimap<Cycle, T> overflow;
     std::size_t pending = 0;
 };
 

@@ -111,48 +111,61 @@ Core::run(std::uint64_t maxInsts, std::uint64_t maxCycles)
 void
 Core::tick()
 {
-    if (stageProf) {
-        tickProfiled();
-        return;
-    }
+    if (stageProf)
+        tickBody<true>();
+    else
+        tickBody<false>();
+}
+
+template <bool Profiled>
+void
+Core::tickBody()
+{
+    // Profiled: one monotonic-clock read at each stage boundary, the
+    // delta charged to the stage just run. Host-side observation only:
+    // no simulated state depends on the readings, so cycles and metrics
+    // are bit-identical to the plain instantiation.
+    std::uint64_t t = 0;
+    const auto charge = [&](prof::Stage s) {
+        if constexpr (Profiled) {
+            const std::uint64_t u = prof::nowNs();
+            stageProf->ns[s] += u - t;
+            t = u;
+        }
+    };
     if (perCycleHook)
         perCycleHook(*this);
+    if constexpr (Profiled)
+        t = prof::nowNs();
     commitStage();
+    charge(prof::Commit);
     rex.tick(rob, rename, now);
+    charge(prof::Rex);
     completeStage();
+    charge(prof::Complete);
     issueStage();
+    charge(prof::Issue);
     dispatchStage();
+    charge(prof::Dispatch);
     fetchStage();
+    charge(prof::Fetch);
+    if constexpr (Profiled)
+        ++stageProf->ticks;
     ++now;
     ++hot.cycles;
 }
 
+template <typename F>
 void
-Core::tickProfiled()
+Core::timed(prof::Stage s, F &&f)
 {
-    // Same stage sequence as tick(), with a monotonic-clock read at
-    // each boundary. Host-side observation only: no simulated state
-    // depends on the readings, so cycles and metrics are bit-identical
-    // to the unprofiled body.
-    prof::StageTimes &st = *stageProf;
-    if (perCycleHook)
-        perCycleHook(*this);
-    std::uint64_t t = prof::nowNs(), u;
-    commitStage();
-    u = prof::nowNs(); st.ns[prof::Commit] += u - t; t = u;
-    rex.tick(rob, rename, now);
-    u = prof::nowNs(); st.ns[prof::Rex] += u - t; t = u;
-    completeStage();
-    u = prof::nowNs(); st.ns[prof::Complete] += u - t; t = u;
-    issueStage();
-    u = prof::nowNs(); st.ns[prof::Issue] += u - t; t = u;
-    dispatchStage();
-    u = prof::nowNs(); st.ns[prof::Dispatch] += u - t; t = u;
-    fetchStage();
-    u = prof::nowNs(); st.ns[prof::Fetch] += u - t;
-    ++st.ticks;
-    ++now;
-    ++hot.cycles;
+    if (!stageProf) {
+        f();
+        return;
+    }
+    const std::uint64_t t0 = prof::nowNs();
+    f();
+    stageProf->ns[s] += prof::nowNs() - t0;
 }
 
 // --------------------------------------------------------------------
@@ -177,13 +190,7 @@ Core::drainCompletions()
 void
 Core::completeStage()
 {
-    if (stageProf) {
-        const std::uint64_t t0 = prof::nowNs();
-        drainCompletions();
-        stageProf->ns[prof::WheelAdvance] += prof::nowNs() - t0;
-    } else {
-        drainCompletions();
-    }
+    timed(prof::WheelAdvance, [this] { drainCompletions(); });
 
     // Stores whose address issued early capture data as it arrives.
     for (std::size_t i = 0; i < storesAwaitingData.size();) {
@@ -481,13 +488,7 @@ void
 Core::issueLoad(DynInst &load)
 {
     LoadExecResult res;
-    if (stageProf) {
-        const std::uint64_t t0 = prof::nowNs();
-        res = lsu.executeLoad(load, now);
-        stageProf->ns[prof::LsuSearch] += prof::nowNs() - t0;
-    } else {
-        res = lsu.executeLoad(load, now);
-    }
+    timed(prof::LsuSearch, [&] { res = lsu.executeLoad(load, now); });
     if (res.status != LoadExecResult::Status::Done)
         return;  // retry next cycle
 
@@ -529,14 +530,8 @@ Core::issueStore(DynInst &store)
         storesAwaitingData.push_back(store.seq);
     }
 
-    InstSeqNum victim;
-    if (stageProf) {
-        const std::uint64_t t0 = prof::nowNs();
-        victim = lsu.storeResolved(store);
-        stageProf->ns[prof::LsuSearch] += prof::nowNs() - t0;
-    } else {
-        victim = lsu.storeResolved(store);
-    }
+    InstSeqNum victim = 0;
+    timed(prof::LsuSearch, [&] { victim = lsu.storeResolved(store); });
     if (victim != 0) {
         // Associative LQ search found a premature load: flush at the
         // load and train store-sets with the exact store-load pair.

@@ -40,7 +40,10 @@
 
 namespace svw {
 
-namespace prof { struct StageTimes; }
+namespace prof {
+enum Stage : unsigned;
+struct StageTimes;
+} // namespace prof
 
 /** Full machine configuration. */
 struct CoreParams
@@ -196,8 +199,15 @@ class Core
     void dispatchStage();
     void fetchStage();
 
-    /** tick() body with stage timers (stageProf != nullptr). */
-    void tickProfiled();
+    /** The stage sequence of one cycle. The Profiled instantiation
+     * charges each stage's host time to stageProf; the plain one reads
+     * no clock. */
+    template <bool Profiled>
+    void tickBody();
+    /** Run @p f, charging its host time to the nested stage @p s when
+     * the profiler is attached. */
+    template <typename F>
+    void timed(prof::Stage s, F &&f);
     /** completeStage's event-wheel drain (profiled as wheel_advance). */
     void drainCompletions();
 
@@ -301,7 +311,7 @@ class Core
 
     // Completion bookkeeping. Squash does not prune the wheel: stale
     // events miss their findBySeq at drain time and are skipped.
-    CompletionWheel completionQueue;
+    CompletionWheel<InstSeqNum> completionQueue;
     std::vector<InstSeqNum> elimPending;  ///< eliminated insts awaiting
                                           ///< their shared register
     std::vector<InstSeqNum> storesAwaitingData;

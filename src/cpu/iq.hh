@@ -34,12 +34,11 @@
 #ifndef SVW_CPU_IQ_HH
 #define SVW_CPU_IQ_HH
 
-#include <array>
 #include <bit>
-#include <map>
 #include <vector>
 
 #include "base/types.hh"
+#include "cpu/completion_wheel.hh"
 #include "cpu/dyninst.hh"
 
 namespace svw {
@@ -197,34 +196,18 @@ class IssueQueue
             if (regWaiters_.size() <= std::size_t(e.sleepReg))
                 regWaiters_.resize(std::size_t(e.sleepReg) + 1);
             regWaiters_[e.sleepReg].push_back(rec);
-        } else if (e.sleepRetry - now <= wheelMask) {
-            const Cycle b = e.sleepRetry & wheelMask;
-            wheel_[b].push_back(rec);
-            wheelBusy_[b >> 6] |= std::uint64_t(1) << (b & 63);
         } else {
-            wheelOverflow_.emplace(e.sleepRetry, rec);
+            wakeWheel_.schedule(now, e.sleepRetry, rec);
         }
     }
 
     /** Fire every wheel record due at cycle @p now. Must run once per
-     * cycle (buckets alias every wheelMask+1 cycles). The occupancy
-     * bitmap keeps the common no-wake cycle to two hot-word tests
-     * instead of a scattered bucket load. */
+     * cycle (the wheel's drain contract). Firing order is immaterial:
+     * a validated wake only sets an awake bit. */
     void drainWakes(Cycle now)
     {
-        while (!wheelOverflow_.empty() &&
-               wheelOverflow_.begin()->first <= now) {
-            wakeValidated(wheelOverflow_.begin()->second);
-            wheelOverflow_.erase(wheelOverflow_.begin());
-        }
-        const Cycle b = now & wheelMask;
-        if (wheelBusy_[b >> 6] & (std::uint64_t(1) << (b & 63))) {
-            wheelBusy_[b >> 6] &= ~(std::uint64_t(1) << (b & 63));
-            auto &bucket = wheel_[b];
-            for (const WakeRec &r : bucket)
-                wakeValidated(r);
-            bucket.clear();
-        }
+        wakeWheel_.drain(now,
+                         [this](const WakeRec &r) { wakeValidated(r); });
     }
 
     /** Register @p p left notReady (its producer issued): wake the
@@ -267,7 +250,6 @@ class IssueQueue
     }
 
     static constexpr std::size_t compactThreshold = 32;
-    static constexpr Cycle wheelMask = 255;  ///< wheel horizon - 1
 
     unsigned cap;
     std::size_t live = 0;
@@ -275,11 +257,8 @@ class IssueQueue
     /** One bit per slot: the scan must visit it (bits past slotCount
      * are kept zero by squashAfter/compact). */
     std::vector<std::uint64_t> awake_;
-    /** sleepRetry wakes, bucketed by due cycle & wheelMask. */
-    std::vector<std::vector<WakeRec>> wheel_{wheelMask + 1};
-    /** Occupancy bit per wheel bucket. */
-    std::array<std::uint64_t, (wheelMask + 1) / 64> wheelBusy_{};
-    std::multimap<Cycle, WakeRec> wheelOverflow_;
+    /** sleepRetry wakes, keyed by due cycle. */
+    CompletionWheel<WakeRec> wakeWheel_{256};
     /** sleepReg wakes, indexed by physical register (grown lazily). */
     std::vector<std::vector<WakeRec>> regWaiters_;
 };

@@ -1,11 +1,9 @@
 #include "harness/executor.hh"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <utility>
 
-#include "base/logging.hh"
 #include "prog/workloads/workloads.hh"
 
 namespace svw::harness {
@@ -210,23 +208,9 @@ runCell(const SweepCell &cell, ProgramCache &cache, bool profile)
     req.profile = profile;
     req.hook = cell.hook;
 
-    const unsigned reps = std::max(1u, cell.timingReps);
-    // A stateful hook would make reps non-equivalent simulations (the
-    // "metrics identical across reps" assumption below breaks).
-    svw_assert(!cell.hook || reps == 1,
-               "timingReps > 1 with a per-cycle hook: ", cell.name());
-    for (unsigned r = 0; r < reps; ++r) {
-        const double t0 = hostSeconds();
-        RunResult res = runOne(req, prog);
-        const double secs = hostSeconds() - t0;
-        o.hostWallSeconds += secs;
-        if (r == 0 || secs < o.seconds)
-            o.seconds = secs;
-        // Cells are deterministic, so metrics are identical across
-        // timing reps; keep the last.
-        if (r + 1 == reps)
-            o.result = std::move(res);
-    }
+    const double t0 = hostSeconds();
+    o.result = runOne(req, prog);
+    o.seconds = hostSeconds() - t0;
     o.ok = true;
     return o;
 }

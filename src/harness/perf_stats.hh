@@ -1,7 +1,7 @@
 /**
  * @file
- * Statistics for the perf-regression harness (bench/perf_ab): the
- * Mann-Whitney U test over host-time samples.
+ * Statistics for the perf-regression gate (bench/perf_hotloop
+ * --history): the Mann-Whitney U test over host-time samples.
  *
  * Container timing noise is heavy-tailed and occasionally bimodal
  * (page-cache state, CPU-frequency excursions, sibling load), so a
@@ -37,8 +37,7 @@ struct MannWhitneyResult
  * Two-sided Mann-Whitney U test of @p a vs @p b via the normal
  * approximation with tie correction and 0.5 continuity correction.
  * Degenerate inputs (either sample empty, or every value tied) return
- * p = 1. The approximation is standard for n >= ~8 per side; perf_ab
- * runs 10+ reps per arm.
+ * p = 1. The approximation is standard for n >= ~8 per side.
  */
 MannWhitneyResult mannWhitneyU(const std::vector<double> &a,
                                const std::vector<double> &b);

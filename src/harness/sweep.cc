@@ -182,7 +182,7 @@ cellKey(const SweepCell &cell)
 bool
 cellCacheable(const SweepCell &cell)
 {
-    return !cell.hook && cell.timingReps <= 1 && !cell.neverCache;
+    return !cell.hook;
 }
 
 ResultCache::ResultCache(std::string dir) : dir_(std::move(dir))

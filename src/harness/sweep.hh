@@ -45,17 +45,6 @@ struct SweepCell
     ExperimentConfig config{};
     bool baseline = false;    ///< the group's speedup reference
     bool goldenCheck = true;  ///< cross-check against the interpreter
-    /** Timing repetitions (perf tracking); metrics are identical across
-     * reps, the executor reports the best rep's wall time. */
-    unsigned timingReps = 1;
-    /**
-     * Opt out of the persistent result cache even when the sweep runs
-     * with one. Spec builders set this on cells whose *wall time* is
-     * the product (perf tracking): a cached cell reports zero seconds,
-     * which would silently poison a throughput trajectory. timingReps
-     * > 1 implies the same exclusion; this flag covers --reps=1.
-     */
-    bool neverCache = false;
     /** Optional per-cycle hook (invalidation injectors). Runs on the
      * thread that executes the cell. */
     std::function<void(Core &)> hook;
@@ -112,8 +101,7 @@ struct CellOutcome
      * the timing fields are zero. */
     bool cached = false;
     std::string error; ///< failure description when !ok
-    double seconds = 0.0;          ///< best timing rep (host wall)
-    double hostWallSeconds = 0.0;  ///< total host wall across reps
+    double seconds = 0.0;  ///< host wall of the cell's run
     RunResult result{};
 };
 
@@ -158,8 +146,7 @@ CellKey cellKey(const SweepCell &cell);
 /**
  * True when the cell's outcome is a pure function of its key: no
  * injected per-cycle hook (hooks perturb the simulation and cannot be
- * serialized) and no timing repetitions (perf cells exist to measure
- * *this* host run's wall time). Non-cacheable cells always execute.
+ * serialized). Non-cacheable cells always execute.
  */
 bool cellCacheable(const SweepCell &cell);
 

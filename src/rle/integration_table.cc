@@ -1,6 +1,5 @@
 #include "rle/integration_table.hh"
 
-#include "base/hostopt.hh"
 #include "base/intmath.hh"
 #include "base/logging.hh"
 
@@ -223,55 +222,31 @@ IntegrationTable::releaseOnePinned(RenameState &rename)
     // loads, so they are worth keeping; ALU entries mostly serve squash
     // reuse and are cheap to regenerate.
     //
-    // Fast path: each category's own LRU list preserves the global LRU
-    // order filtered to that category, so "first solo-pinned entry of
-    // the ALU list" is exactly the combined walk's first solo-pinned
-    // ALU entry (likewise for loads), and "global LRU head" is the
-    // combined walk's fallback victim. Same victim for every state —
-    // profile-guided hot-loop work measured this walk at 37-41% of
-    // host time on RLE cells (it runs once per dispatch-stage pressure
-    // eviction, and the table is mostly load entries, which the
-    // combined walk had to step over to reach the first ALU victim).
+    // Each category's own LRU list preserves the global LRU order
+    // filtered to that category, so the first solo-pinned entry of the
+    // ALU list is the least recently used solo-pinned ALU entry
+    // (likewise for loads). The walk steps only over its own category:
+    // the table is mostly load entries, which a walk of the global list
+    // had to skip to reach the first ALU victim (measured at 37-41% of
+    // host time on RLE cells before the category lists).
+    const PhysRegFile &f = rename.regs();
     ItEntry *victim = nullptr;
-    if (hostopt::legacy(hostopt::LegacyRleRelease)) {
-        // Legacy combined walk, kept for interleaved A/B measurement
-        // (bench/perf_ab --ab --legacy=rle_release).
-        ItEntry *soloAlu = nullptr;
-        ItEntry *soloLoad = nullptr;
-        ItEntry *any = nullptr;
-        for (int i = lruHead; i != -1; i = table[i].lruNext) {
-            ItEntry &e = table[i];
-            if (!any)
-                any = &e;
-            if (rename.regs().refCount(e.dst) == 1) {
-                if (!e.loadKey) {
-                    soloAlu = &e;
-                    break;
-                }
-                if (!soloLoad)
-                    soloLoad = &e;
-            }
+    for (int i = aluHead; i != -1; i = table[i].catNext) {
+        if (f.refCount(table[i].dst) == 1) {
+            victim = &table[i];
+            break;
         }
-        victim = soloAlu ? soloAlu : (soloLoad ? soloLoad : any);
-    } else {
-        const PhysRegFile &f = rename.regs();
-        for (int i = aluHead; i != -1; i = table[i].catNext) {
+    }
+    if (!victim) {
+        for (int i = loadHead; i != -1; i = table[i].catNext) {
             if (f.refCount(table[i].dst) == 1) {
                 victim = &table[i];
                 break;
             }
         }
-        if (!victim) {
-            for (int i = loadHead; i != -1; i = table[i].catNext) {
-                if (f.refCount(table[i].dst) == 1) {
-                    victim = &table[i];
-                    break;
-                }
-            }
-        }
-        if (!victim && lruHead != -1)
-            victim = &table[lruHead];
     }
+    if (!victim && lruHead != -1)
+        victim = &table[lruHead];
     if (!victim)
         return false;
     ++pressureReleases;

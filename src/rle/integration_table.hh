@@ -56,8 +56,8 @@ struct ItEntry
     InstSeqNum creatorSeq = 0;
     std::uint64_t lru = 0;
     // Intrusive LRU list links (indices into the table; -1 = none).
-    // Valid entries are linked oldest-touch first, so pressure eviction
-    // walks candidates in LRU order instead of scanning the whole table.
+    // Valid entries are linked oldest-touch first; the head is pressure
+    // eviction's last-resort victim.
     int lruPrev = -1;
     int lruNext = -1;
     // Second intrusive LRU list, per release category (load/bypass

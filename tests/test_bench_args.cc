@@ -127,6 +127,9 @@ TEST(BenchArgsDeath, InvalidCombinationsAndUnknownFlagsExit2)
                 "--shard=i/n with i<n");
     EXPECT_EXIT(parse({"--frobnicate"}), ::testing::ExitedWithCode(2),
                 "unknown arg --frobnicate");
+    EXPECT_EXIT(parse({"--benchmark_filter=x"}),
+                ::testing::ExitedWithCode(2),
+                "unknown arg --benchmark_filter=x");
     // The removed fork-pool and co-simulation flags fail loudly, so an
     // old script cannot silently run a different sweep.
     EXPECT_EXIT(parse({"--jobs=4"}), ::testing::ExitedWithCode(2),

@@ -1,9 +1,9 @@
 /**
  * @file
  * Mann-Whitney U tests (harness/perf_stats.hh), pinned against
- * hand-computed values so the perf-regression verdicts in
- * bench/perf_ab stay trustworthy: a broken rank sum or tie correction
- * would silently turn the gate into noise.
+ * hand-computed values so the perf-regression verdicts of
+ * `perf_hotloop --history` stay trustworthy: a broken rank sum or tie
+ * correction would silently turn the gate into noise.
  */
 
 #include <gtest/gtest.h>
@@ -36,7 +36,7 @@ TEST(PerfStats, FullySeparatedSamples)
     EXPECT_NEAR(r.z, -2.5067, 1e-3);
     EXPECT_NEAR(r.p, 0.01218, 5e-4);
     EXPECT_DOUBLE_EQ(r.medianShift, 3.0 - 8.0);
-    EXPECT_LT(r.p, 0.05);  // the perf_ab significance threshold
+    EXPECT_LT(r.p, 0.05);  // the history gate's significance threshold
 
     // Symmetry: swapping the samples swaps U1/U2 and negates z.
     const MannWhitneyResult s = mannWhitneyU(b, a);
@@ -77,7 +77,7 @@ TEST(PerfStats, DegenerateSamplesAreNotSignificant)
 
 TEST(PerfStats, InterleavedNoiseIsNotSignificant)
 {
-    // Same distribution, alternating observations — the shape perf_ab
+    // Same distribution, alternating observations — the shape the gate
     // sees when an "optimization" does nothing. U1 + U2 = n1*n2 always.
     const std::vector<double> a = {10.1, 10.3, 10.2, 10.4, 10.25};
     const std::vector<double> b = {10.2, 10.1, 10.35, 10.3, 10.15};
@@ -89,7 +89,7 @@ TEST(PerfStats, InterleavedNoiseIsNotSignificant)
 TEST(PerfStats, ConsistentShiftIsSignificant)
 {
     // A ~3% consistent improvement over 12 interleaved reps — the
-    // effect size perf_ab is built to resolve.
+    // effect size the gate is built to resolve.
     std::vector<double> fast, slow;
     for (int i = 0; i < 12; ++i) {
         fast.push_back(1.00 + 0.002 * (i % 5));

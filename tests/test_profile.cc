@@ -1,14 +1,11 @@
 /**
  * @file
- * Self-profiler (base/profile.hh) and host-optimization toggle
- * (base/hostopt.hh) tests.
+ * Self-profiler (base/profile.hh) tests.
  *
  * The profiler's contract is observational purity: a profiled run
  * retires byte-identical cycles and metrics, attribution accounts for
  * the tick loop within the cell's wall time, and the folded-stack
- * rendering is deterministic. The hostopt contract is the same purity
- * for the legacy/optimized path pairs that bench/perf_ab A/B-times:
- * a toggle may change speed, never results.
+ * rendering is deterministic.
  */
 
 #include <gtest/gtest.h>
@@ -16,11 +13,8 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
-#include <vector>
 
-#include "base/hostopt.hh"
 #include "base/profile.hh"
-#include "cpu/completion_wheel.hh"
 #include "harness/config.hh"
 #include "harness/runner.hh"
 
@@ -28,13 +22,6 @@ using namespace svw;
 using namespace svw::harness;
 
 namespace {
-
-/** RAII save/restore of the process-global legacy mask. */
-struct LegacyMaskGuard
-{
-    unsigned saved = hostopt::legacyMask();
-    ~LegacyMaskGuard() { hostopt::legacyMask() = saved; }
-};
 
 RunRequest
 smallRequest(const char *workload)
@@ -45,7 +32,7 @@ smallRequest(const char *workload)
     return req;
 }
 
-/** The result fields a host-side toggle/profiler must never change. */
+/** The result fields the profiler must never change. */
 void
 expectSameSimulation(const RunResult &a, const RunResult &b)
 {
@@ -194,77 +181,4 @@ TEST(Profile, StageTaxonomyIsStable)
     EXPECT_EQ(prof::stageParent(prof::WheelAdvance), prof::Complete);
     EXPECT_EQ(prof::stageParent(prof::LsuSearch), prof::Issue);
     EXPECT_EQ(prof::stageParent(prof::Commit), prof::NumStages);
-}
-
-TEST(Hostopt, RleReleaseToggleIsHostSideOnly)
-{
-    LegacyMaskGuard guard;
-    // perl.d on the 4-wide RLE machine drives IT pin pressure, so
-    // releaseOnePinned runs both victim walks for real.
-    RunRequest req = smallRequest("perl.d");
-    req.config.machine = Machine::FourWide;
-    req.config.opt = OptMode::Rle;
-    req.config.svw = SvwMode::Upd;
-
-    hostopt::legacyMask() = hostopt::LegacyRleRelease;
-    const RunResult legacy = runOne(req);
-    hostopt::legacyMask() = 0;
-    const RunResult fast = runOne(req);
-    expectSameSimulation(legacy, fast);
-    EXPECT_GT(legacy.elimRate, 0.0);  // RLE actually exercised
-}
-
-TEST(Hostopt, WheelDrainToggleIsHostSideOnly)
-{
-    LegacyMaskGuard guard;
-    // mcf's cache misses spread completions across the wheel horizon.
-    RunRequest req = smallRequest("mcf");
-    req.config.opt = OptMode::Ssq;
-    req.config.svw = SvwMode::Upd;
-
-    hostopt::legacyMask() = hostopt::LegacyWheelDrain;
-    const RunResult legacy = runOne(req);
-    hostopt::legacyMask() = 0;
-    const RunResult fast = runOne(req);
-    expectSameSimulation(legacy, fast);
-}
-
-TEST(Hostopt, WheelDrainOrderMatchesLegacyAndSurvivesMidRunFlip)
-{
-    LegacyMaskGuard guard;
-    // Event pattern covering same-cycle order, past-due clamping and
-    // the overflow map, drained once per mode and once flipping modes
-    // mid-drain (the A/B harness interleaves arms in one process, so a
-    // bucket filled under one mode may drain under the other).
-    const auto runPattern = [](unsigned startMask, unsigned flipMask) {
-        hostopt::legacyMask() = startMask;
-        CompletionWheel w(64);
-        std::vector<std::pair<Cycle, InstSeqNum>> fired;
-        Cycle now = 0;
-        w.schedule(now, 3, 1);
-        w.schedule(now, 3, 2);      // same-cycle: insertion order
-        w.schedule(now, 0, 3);      // past due: clamps to now + 1
-        w.schedule(now, 200, 4);    // beyond horizon: overflow map
-        w.schedule(now, 63, 5);
-        for (now = 1; now <= 210; ++now) {
-            if (now == 2)           // mid-run A/B flip
-                hostopt::legacyMask() = flipMask;
-            w.drain(now, [&](InstSeqNum seq) {
-                fired.emplace_back(now, seq);
-                if (seq == 3)       // completions may reschedule
-                    w.schedule(now, now + 5, 6);
-            });
-        }
-        EXPECT_TRUE(w.empty());
-        return fired;
-    };
-    const unsigned L = hostopt::LegacyWheelDrain;
-    const std::vector<std::pair<Cycle, InstSeqNum>> expect = {
-        {1, 3}, {3, 1}, {3, 2}, {6, 6}, {63, 5}, {200, 4}};
-    EXPECT_EQ(runPattern(0, 0), expect);
-    EXPECT_EQ(runPattern(L, L), expect);
-    // Legacy drains never clear occupancy bits; a flip to the bitmap
-    // path must still fire (and merely re-check) everything.
-    EXPECT_EQ(runPattern(L, 0), expect);
-    EXPECT_EQ(runPattern(0, L), expect);
 }

@@ -269,15 +269,6 @@ TEST(CellKey, Cacheability)
     SweepCell hooked = plain;
     hooked.hook = [](Core &) {};
     EXPECT_FALSE(cellCacheable(hooked));
-
-    SweepCell timed = plain;
-    timed.timingReps = 3;
-    EXPECT_FALSE(cellCacheable(timed));
-
-    // A spec builder can opt out explicitly (perf cells at --reps=1).
-    SweepCell optOut = plain;
-    optOut.neverCache = true;
-    EXPECT_FALSE(cellCacheable(optOut));
 }
 
 TEST(ResultCache, ColdPopulatesWarmServesByteIdenticalWithZeroRuns)
@@ -371,20 +362,16 @@ TEST(ResultCache, DisabledAndNonCacheableCellsAlwaysRun)
     for (std::size_t i = 0; i < res.spec().size(); ++i)
         EXPECT_FALSE(res.outcome(i).cached);
 
-    // Hooked / timing cells run even with a warm cache directory.
+    // Hooked cells run even with a warm cache directory.
     SweepSpec hooked("hooked");
     SweepCell h = makeCell("g", "h", "gzip", 3'000, true);
     h.hook = [](Core &) {};
     hooked.add(h);
-    SweepCell t = makeCell("g", "t", "gzip", 3'000);
-    t.timingReps = 2;
-    hooked.add(t);
     for (int round = 0; round < 2; ++round) {
         const std::uint64_t c0 = runCellCalls();
         const SweepResults r = runSweep(hooked, cached);
-        EXPECT_EQ(runCellCalls() - c0, 2u) << "round " << round;
+        EXPECT_EQ(runCellCalls() - c0, 1u) << "round " << round;
         EXPECT_FALSE(r.outcome(0).cached);
-        EXPECT_FALSE(r.outcome(1).cached);
     }
 }
 

@@ -289,6 +289,48 @@ TEST_F(RleFixture, RelievePressureFreesRegisters)
     EXPECT_TRUE(rename.hasFreeReg());
 }
 
+TEST_F(RleFixture, PressureReleaseVictimOrder)
+{
+    // releaseOnePinned's priority: the least recently used ALU entry
+    // whose register only the IT keeps alive, then the least recently
+    // used such load entry, then the global LRU head.
+    IntegrationTable it(8, 8, 8, reg);  // one fully associative set
+    struct Pin
+    {
+        ItKey key;
+        PhysRegIndex dst;
+    };
+    const auto pin = [&](Opcode op, std::int64_t imm, bool solo) {
+        ItKey k;
+        k.op = op;
+        k.imm = imm;
+        const PhysRegIndex dst = rename.alloc();
+        it.insert(k, dst, /*ssn=*/1, /*creatorSeq=*/1, rename);
+        if (solo)
+            rename.deref(dst);  // only the IT pin remains
+        return Pin{k, dst};
+    };
+    const Pin lx = pin(Opcode::Ld8, 0, false);
+    const Pin a0 = pin(Opcode::Add, 1, false);
+    const Pin l0 = pin(Opcode::Ld8, 2, true);
+    const Pin a1 = pin(Opcode::Add, 3, true);
+    const Pin l1 = pin(Opcode::Ld8, 4, true);
+    const Pin a2 = pin(Opcode::Add, 5, true);
+    // A hit refreshes recency: LRU order is now lx a0 a1 l1 a2 l0.
+    ASSERT_NE(it.lookup(l0.key, rename), nullptr);
+
+    // A pin drops only when its entry is released, so each step names
+    // its victim.
+    for (const Pin *victim : {&a1, &a2, &l1, &l0, &lx, &a0}) {
+        const unsigned refs = rename.regs().refCount(victim->dst);
+        ASSERT_TRUE(it.releaseOnePinned(rename));
+        EXPECT_EQ(rename.regs().refCount(victim->dst), refs - 1)
+            << "imm " << victim->key.imm;
+    }
+    EXPECT_EQ(it.liveEntries(), 0u);
+    EXPECT_FALSE(it.releaseOnePinned(rename));
+}
+
 TEST_F(RleFixture, DisabledUnitDoesNothing)
 {
     RleParams p;  // enabled = false

@@ -176,7 +176,7 @@ TEST(RobRing, IterationIsAgeOrdered)
 
 TEST(CompletionWheel, SameCycleEventsFireInInsertionOrder)
 {
-    CompletionWheel wheel(16);
+    CompletionWheel<InstSeqNum> wheel(16);
     wheel.schedule(0, 3, 11);
     wheel.schedule(0, 3, 22);
     wheel.schedule(1, 3, 33);
@@ -195,7 +195,7 @@ TEST(CompletionWheel, SquashedEntriesAreSkippedByConsumer)
     rob.push(mkInst(1));
     rob.push(mkInst(2));
     rob.push(mkInst(3));
-    CompletionWheel wheel(16);
+    CompletionWheel<InstSeqNum> wheel(16);
     wheel.schedule(0, 2, 1);
     wheel.schedule(0, 2, 3);
     rob.popTail();  // squash seq 3
@@ -211,7 +211,7 @@ TEST(CompletionWheel, SquashedEntriesAreSkippedByConsumer)
 
 TEST(CompletionWheel, PastDueFiresNextDrainNotNever)
 {
-    CompletionWheel wheel(16);
+    CompletionWheel<InstSeqNum> wheel(16);
     wheel.schedule(5, 5, 42);  // due <= now: clamp to now + 1
     bool fired = false;
     wheel.drain(5, [&](InstSeqNum) { fired = true; });
@@ -222,7 +222,7 @@ TEST(CompletionWheel, PastDueFiresNextDrainNotNever)
 
 TEST(CompletionWheel, BeyondHorizonOverflowStillFiresOnTime)
 {
-    CompletionWheel wheel(8);
+    CompletionWheel<InstSeqNum> wheel(8);
     wheel.schedule(0, 100, 7);   // way past the 8-cycle horizon
     wheel.schedule(0, 5, 1);     // in-wheel
     std::vector<std::pair<Cycle, InstSeqNum>> fired;
@@ -242,7 +242,7 @@ TEST(CompletionWheel, BeyondHorizonOverflowStillFiresOnTime)
 
 TEST(CompletionWheel, DrainCallbackMaySchedule)
 {
-    CompletionWheel wheel(8);
+    CompletionWheel<InstSeqNum> wheel(8);
     wheel.schedule(0, 2, 1);
     std::vector<InstSeqNum> fired;
     for (Cycle c = 1; c <= 5; ++c) {
