@@ -147,6 +147,20 @@ parseFlagUnsigned(const std::string &text, const char *flag)
     return static_cast<unsigned>(v);
 }
 
+/** parseFlagNumber for megabyte counts: the byte count must fit a
+ * uint64 too (no silent wrap to a tiny cap). */
+inline std::uint64_t
+parseFlagMegabytes(const std::string &text, const char *flag)
+{
+    const std::uint64_t v = parseFlagNumber(text, flag);
+    if (v > (UINT64_MAX >> 20)) {
+        std::fprintf(stderr, "error: %s value '%s' out of range\n", flag,
+                     text.c_str());
+        std::exit(2);
+    }
+    return v;
+}
+
 inline BenchArgs
 parseArgs(int argc, char **argv)
 {
@@ -202,10 +216,10 @@ parseArgs(int argc, char **argv)
             args.noCache = true;
         } else if (a.rfind("--cache-max-mb=", 0) == 0) {
             args.cacheMaxMb =
-                parseFlagNumber(a.substr(15), "--cache-max-mb");
+                parseFlagMegabytes(a.substr(15), "--cache-max-mb");
         } else if (a.rfind("--mem-cache-max-mb=", 0) == 0) {
             args.memCacheMaxMb =
-                parseFlagNumber(a.substr(19), "--mem-cache-max-mb");
+                parseFlagMegabytes(a.substr(19), "--mem-cache-max-mb");
         } else if (a.rfind("--emit-cells=", 0) == 0) {
             args.emitCells = a.substr(13);
             if (args.emitCells.empty()) {

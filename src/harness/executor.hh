@@ -3,8 +3,9 @@
  * Sweep executor primitives: execution options, the per-cell runner
  * (runCell), the process-wide ProgramCache and in-memory result-cache
  * front, and the one-shot runSweep entry point. Orchestration — shard
- * selection, cache probing, the in-caller and worker-thread executors,
- * and the streaming per-cell event API — lives in harness/session.hh
+ * selection, cache probing, the in-caller executor and the CellPool
+ * worker threads, and the streaming per-cell event API — lives in
+ * harness/session.hh
  * (SweepSession); runSweep is a thin wrapper that opens a session and
  * runs it to completion. A sweep runs its cells in the calling thread
  * (--threads=0, the default) or on N worker threads in one address
@@ -54,9 +55,10 @@ struct SweepOptions
 {
     /**
      * Worker threads; 0 = run every cell in the calling thread. When
-     * >= 1, cells run on this many std::thread workers in one address
-     * space, sharing the process ProgramCache and the in-memory
-     * ResultCache front. Results are byte-identical for every value.
+     * >= 1, the session runs its cells on a private CellPool of this
+     * many workers in one address space, sharing the process
+     * ProgramCache and the in-memory ResultCache front. Results are
+     * byte-identical for every value.
      */
     unsigned threads = 0;
     /** Inert: read by nothing. Kept only so existing callers that

@@ -4,10 +4,11 @@
  * sweep.
  *
  * Everything that *orchestrates* a sweep lives here: shard selection,
- * cache probing, the in-caller and worker-thread executors, and the
- * per-cell event stream. What *runs* a cell (runCell, the caches, the
- * counters) stays in executor.cc; runSweep is defined at the bottom of
- * this file as a one-line wrapper over a blocking session.
+ * cache probing, the in-caller executor, the CellPool worker threads,
+ * and the per-cell event stream. What *runs* a cell (runCell, the
+ * caches, the counters) stays in executor.cc; runSweep is defined at
+ * the bottom of this file as a one-line wrapper over a blocking
+ * session.
  */
 
 #include "harness/session.hh"
@@ -79,23 +80,129 @@ runCellContained(const SweepCell &cell, bool profile)
 
 } // namespace
 
-SweepSession::SweepSession(SweepSpec spec, SweepOptions opts)
-    : spec_(std::move(spec)), opts_(std::move(opts))
+CellPool::CellPool(unsigned workers)
+{
+    svw_assert(workers >= 1, "CellPool needs at least one worker");
+    workers_.reserve(workers);
+    for (unsigned i = 0; i < workers; ++i)
+        workers_.emplace_back([this] { workerMain(); });
+}
+
+CellPool::~CellPool()
+{
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        stop_ = true;
+    }
+    work_.notify_all();
+    for (std::thread &t : workers_)
+        t.join();
+}
+
+std::size_t
+CellPool::queuedCells() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    std::size_t n = 0;
+    for (const SweepSession *s : ring_)
+        n += s->pending_.size();
+    return n;
+}
+
+std::size_t
+CellPool::runningCells() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return running_;
+}
+
+void
+CellPool::attach(SweepSession &s)
+{
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        ring_.push_back(&s);
+    }
+    work_.notify_all();
+}
+
+std::deque<std::size_t>
+CellPool::withdraw(SweepSession &s)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    ring_.erase(std::remove(ring_.begin(), ring_.end(), &s), ring_.end());
+    return std::exchange(s.pending_, {});
+}
+
+void
+CellPool::waitFor(SweepSession &s)
+{
+    std::unique_lock<std::mutex> lock(mutex_);
+    cellDone_.wait(lock, [&s] {
+        return s.pending_.empty() && s.running_ == 0;
+    });
+}
+
+/**
+ * Worker thread body: deal the front session's next cell and run it in
+ * this address space, sharing the process ProgramCache (thread-safe
+ * build-once) and the executor's atomic counters. Everything a cell
+ * *writes* is thread-private (its Core, StatRegistry and MemoryImage,
+ * and its own completion record); everything shared is immutable or
+ * internally synchronized — so merged outcomes are byte-identical to
+ * the in-caller run by construction.
+ *
+ * The completion and its wake byte are queued under the mutex before
+ * the running count drops, so a session waiting in waitFor() cannot be
+ * destroyed while a worker still touches it.
+ */
+void
+CellPool::workerMain()
+{
+    std::unique_lock<std::mutex> lock(mutex_);
+    for (;;) {
+        work_.wait(lock, [this] { return stop_ || !ring_.empty(); });
+        if (stop_)
+            return;
+        SweepSession &s = *ring_.front();
+        ring_.pop_front();
+        const std::size_t idx = s.pending_.front();
+        s.pending_.pop_front();
+        if (!s.pending_.empty())
+            ring_.push_back(&s);
+        ++s.running_;
+        ++running_;
+        // Started notification: queued (not fired) so events always
+        // reach the callback on the driving thread.
+        s.completed_.push_back({idx, {}, true});
+        s.wakeDriver();
+        lock.unlock();
+        CellOutcome o = runCellContained(s.spec_.cell(idx), s.opts_.profile);
+        lock.lock();
+        s.completed_.push_back({idx, std::move(o), false});
+        s.wakeDriver();
+        --s.running_;
+        --running_;
+        cellDone_.notify_all();
+    }
+}
+
+SweepSession::SweepSession(SweepSpec spec, SweepOptions opts,
+                           CellPool *pool)
+    : spec_(std::move(spec)), opts_(std::move(opts)), pool_(pool)
 {
 }
 
 SweepSession::~SweepSession()
 {
     // A session destroyed mid-flight (daemon error path, or a callback
-    // exception unwinding out of run()) must not leak worker threads
-    // touching freed state: stop new deals, let in-flight cells
-    // finish, join, and discard their completions.
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        stop_ = true;
-        pending_.clear();
+    // exception unwinding out of run()) must not leave a pool worker
+    // touching freed state: stop new deals, let this session's running
+    // cells finish, and discard their completions.
+    if (pool_) {
+        abort();
+        pool_->waitFor(*this);
     }
-    joinWorkers();
     for (int fd : wakePipe_) {
         if (fd >= 0)
             ::close(fd);
@@ -217,10 +324,10 @@ SweepSession::run(const SessionCallback &cb)
 {
     start(cb);
     while (step()) {
-        if (workers_.empty())
+        if (!pool_)
             continue;
-        // Workers are busy: sleep until one of them reports. EINTR
-        // just loops back through step().
+        // The pool is busy: sleep until one of its workers reports.
+        // EINTR just loops back through step().
         pollfd p{wakeFd(), POLLIN, 0};
         ::poll(&p, 1, -1);
     }
@@ -234,63 +341,29 @@ SweepSession::start(SessionCallback cb)
     cb_ = std::move(cb);
     started_ = true;
     probeAndQueue();
-    if (opts_.threads >= 1 && !pending_.empty()) {
-        svw_assert(::pipe(wakePipe_) == 0,
-                   "SweepSession wake pipe: ", std::strerror(errno));
-        // Non-blocking on both ends: the driver drains opportunistically
-        // and a full pipe just means "already plenty readable".
-        for (int fd : wakePipe_)
-            ::fcntl(fd, F_SETFL,
-                    ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
-        const std::size_t n =
-            std::min<std::size_t>(opts_.threads, pending_.size());
-        workers_.reserve(n);
-        for (std::size_t i = 0; i < n; ++i)
-            workers_.emplace_back([this] { workerMain(); });
+    if (pending_.empty())
+        return;
+    if (!pool_ && opts_.threads >= 1) {
+        ownPool_ = std::make_unique<CellPool>(static_cast<unsigned>(
+            std::min<std::size_t>(opts_.threads, pending_.size())));
+        pool_ = ownPool_.get();
     }
+    if (!pool_)
+        return;
+    svw_assert(::pipe(wakePipe_) == 0,
+               "SweepSession wake pipe: ", std::strerror(errno));
+    // Non-blocking on both ends: the driver drains opportunistically
+    // and a full pipe just means "already plenty readable".
+    for (int fd : wakePipe_)
+        ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
+    pool_->attach(*this);
 }
 
 bool
 SweepSession::finished() const
 {
-    if (!started_)
-        return false;
-    std::lock_guard<std::mutex> lock(mutex_);
-    return recordedCells_ + discardedCells_ >= queuedCells_;
-}
-
-/**
- * Worker thread body: pull queued cells and run them in this address
- * space, sharing the process ProgramCache (thread-safe build-once) and
- * the executor's atomic counters. Everything a cell *writes* is
- * thread-private (its Core, StatRegistry and MemoryImage, and its own
- * completion record); everything shared is immutable or internally
- * synchronized — so merged outcomes are byte-identical to the
- * in-caller run by construction.
- */
-void
-SweepSession::workerMain()
-{
-    for (;;) {
-        std::size_t idx;
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            if (stop_ || pending_.empty())
-                return;
-            idx = pending_.front();
-            pending_.pop_front();
-            // Started notification: queued (not fired) so events
-            // always reach the callback on the driving thread.
-            completed_.push_back(Completion{idx, {}, true});
-        }
-        wakeDriver();
-        CellOutcome o = runCellContained(spec_.cell(idx), opts_.profile);
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            completed_.push_back(Completion{idx, std::move(o), false});
-        }
-        wakeDriver();
-    }
+    // Every counter here moves on the driving thread only.
+    return started_ && recordedCells_ + discardedCells_ >= queuedCells_;
 }
 
 void
@@ -317,7 +390,7 @@ SweepSession::drainCompletions()
     for (;;) {
         std::deque<Completion> drained;
         {
-            std::lock_guard<std::mutex> lock(mutex_);
+            std::lock_guard<std::mutex> lock(pool_->mutex_);
             drained.swap(completed_);
         }
         if (drained.empty())
@@ -327,10 +400,7 @@ SweepSession::drainCompletions()
                 emit(CellEventKind::Started, c.index, nullptr);
                 continue;
             }
-            {
-                std::lock_guard<std::mutex> lock(mutex_);
-                ++recordedCells_;
-            }
+            ++recordedCells_;
             record(c.index, std::move(c.outcome), CellEventKind::Done);
         }
     }
@@ -341,7 +411,7 @@ SweepSession::step()
 {
     svw_assert(started_ && !finishedCalled_,
                "SweepSession::step outside start()..finish()");
-    if (!workers_.empty()) {
+    if (pool_) {
         drainCompletions();
         return !finished();
     }
@@ -359,19 +429,9 @@ SweepSession::step()
 void
 SweepSession::abort()
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    discardedCells_ += pending_.size();
-    pending_.clear();
-}
-
-void
-SweepSession::joinWorkers()
-{
-    for (std::thread &t : workers_) {
-        if (t.joinable())
-            t.join();
-    }
-    workers_.clear();
+    const std::deque<std::size_t> dropped =
+        pool_ ? pool_->withdraw(*this) : std::exchange(pending_, {});
+    discardedCells_ += dropped.size();
 }
 
 SweepResults
@@ -380,12 +440,14 @@ SweepSession::finish()
     svw_assert(started_ && !finishedCalled_,
                "SweepSession::finish outside start()..finish()");
     finishedCalled_ = true;
-    // Workers exit once pending_ drains (or abort() cleared it); the
-    // join bounds on the in-flight cells, whose completions are still
-    // recorded — they cost the simulation time either way, so their
-    // results should reach the caches.
-    joinWorkers();
-    drainCompletions();
+    // Wait for this session's cells only: the undealt ones, unless
+    // abort() discarded them, and the running ones, whose completions
+    // are still recorded — they cost the simulation time either way,
+    // so their results should reach the caches.
+    if (pool_) {
+        pool_->waitFor(*this);
+        drainCompletions();
+    }
     storeFreshResults();
     return SweepResults(spec_, std::move(outcomes_));
 }

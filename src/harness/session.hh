@@ -13,28 +13,31 @@
  *
  * One execution path, two executors. start(cb) probes the caches
  * (firing CachedHit events) and queues the remaining cells; step()
- * then advances the sweep one slice at a time, so a single-threaded
- * event loop (sweepd) can interleave many sessions with socket I/O:
+ * then advances the sweep one slice at a time, so an event loop
+ * (sweepd) can interleave many sessions with socket I/O:
  *
- *  - threads == 0: step() runs the next queued cell in the calling
- *    thread (one cell per call — the event-loop slice).
- *  - threads >= 1: start() launches that many worker threads, and
- *    step() only drains finished cells without blocking. wakeFd() is
- *    readable whenever completions are waiting, so the loop can poll
- *    it alongside its sockets.
+ *  - in the caller (no pool, threads == 0): step() runs the next
+ *    queued cell in the calling thread, one cell per call.
+ *  - on a CellPool: start() attaches the session to a pool, whose
+ *    workers simulate its cells, and step() only drains finished
+ *    cells without blocking. wakeFd() is readable whenever
+ *    completions are waiting, so the loop can poll it alongside its
+ *    sockets. The pool is either the session's own (threads == N
+ *    gives a private pool of N workers) or one the caller shares
+ *    across sessions (sweepd passes every session its pool of one).
  *
- * Events always fire on the *driving* thread. finish() joins workers,
- * writes successful fresh results back to the caches, and returns the
- * merged results. run(cb) is exactly start(cb), step() until finished
- * (blocking in poll(2) on wakeFd() while workers are busy), then
- * finish().
+ * Events always fire on the *driving* thread. finish() waits for this
+ * session's cells, writes successful fresh results back to the caches,
+ * and returns the merged results. run(cb) is exactly start(cb), step()
+ * until finished (blocking in poll(2) on wakeFd() while a pool is
+ * busy), then finish().
  *
  * Every executor contains exceptions per cell: a cell that throws is
  * recorded as a failed outcome carrying the exception text, and the
  * sweep goes on (a long-lived daemon must outlive a golden-model
  * mismatch; a figure binary reports the failure and exits 1). An
  * exception thrown by the event callback itself propagates to the
- * caller. abort() discards not-yet-started cells so a disconnected
+ * caller. abort() discards not-yet-dealt cells so a disconnected
  * client stops costing simulation time. A cell that kills its process
  * takes the session with it; crash isolation comes from running
  * shards as separate processes (bench/sweep_driver.cc).
@@ -47,6 +50,7 @@
 #ifndef SVW_HARNESS_SESSION_HH
 #define SVW_HARNESS_SESSION_HH
 
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -89,12 +93,71 @@ struct CellEvent
 
 using SessionCallback = std::function<void(const CellEvent &)>;
 
+class SweepSession;
+
+/**
+ * A fixed set of worker threads that simulate cells for the sessions
+ * attached to it. Sessions with undealt cells wait in a ring; a worker
+ * takes the front session's next cell, sends the session to the back,
+ * runs the cell with per-cell containment, then queues the completion
+ * on that session and writes its wake byte. Dealing is therefore
+ * round-robin at cell granularity: one cell per session per turn, so
+ * a short sweep started beside a long one is not stuck behind it.
+ *
+ * One mutex guards the ring and, for every attached session, its
+ * undealt cells, its completion queue and its running-cell count.
+ * Every session using a pool must be destroyed before the pool.
+ */
+class CellPool
+{
+  public:
+    /** Launch @p workers (>= 1) threads; they idle until a session
+     * attaches. */
+    explicit CellPool(unsigned workers);
+    /** Stop and join the workers. */
+    ~CellPool();
+
+    CellPool(const CellPool &) = delete;
+    CellPool &operator=(const CellPool &) = delete;
+
+    /** Cells waiting to be dealt, summed over attached sessions. */
+    std::size_t queuedCells() const;
+    /** Cells being simulated right now. */
+    std::size_t runningCells() const;
+
+  private:
+    friend class SweepSession;
+
+    void attach(SweepSession &s);
+    /** Take @p s out of the ring and return its undealt cells: no
+     * worker deals from it after this returns. */
+    std::deque<std::size_t> withdraw(SweepSession &s);
+    /** Block until @p s has no undealt and no running cells. */
+    void waitFor(SweepSession &s);
+    void workerMain();
+
+    mutable std::mutex mutex_;
+    std::condition_variable work_;      ///< a session attached, or stop
+    std::condition_variable cellDone_;  ///< some running cell finished
+    std::deque<SweepSession *> ring_;   ///< sessions with undealt cells
+    std::size_t running_ = 0;
+    bool stop_ = false;
+    std::vector<std::thread> workers_;  ///< last: uses everything above
+};
+
 /** One sweep, opened over a spec and execution options. */
 class SweepSession
 {
   public:
-    /** The session owns a copy of @p spec (cells, hooks, and all). */
-    SweepSession(SweepSpec spec, SweepOptions opts);
+    /**
+     * The session owns a copy of @p spec (cells, hooks, and all). With
+     * @p pool set, the cells run on that shared pool, which must
+     * outlive the session, and opts.threads is ignored; otherwise
+     * threads >= 1 gives the session a private pool of that width and
+     * threads == 0 runs cells in the caller.
+     */
+    SweepSession(SweepSpec spec, SweepOptions opts,
+                 CellPool *pool = nullptr);
     ~SweepSession();
 
     SweepSession(const SweepSession &) = delete;
@@ -109,8 +172,9 @@ class SweepSession
 
     // -- Incremental driving (sweepd's event loop) --------------------
 
-    /** Probe caches, queue the remaining cells, and (threads >= 1)
-     * launch workers. Fires CachedHit events for cache-served cells. */
+    /** Probe caches, queue the remaining cells, and attach them to
+     * the pool, if any. Fires CachedHit events for cache-served
+     * cells. */
     void start(SessionCallback cb = nullptr);
 
     bool started() const { return started_; }
@@ -119,26 +183,28 @@ class SweepSession
     bool finished() const;
 
     /**
-     * Advance the sweep. threads == 0: run the next queued cell in the
-     * calling thread. threads >= 1: drain finished cells from the
-     * workers without blocking. Events fire on this thread either way.
+     * Advance the sweep. In the caller: run the next queued cell in
+     * the calling thread. On a pool: drain finished cells without
+     * blocking. Events fire on this thread either way.
      * @return false once the session is finished.
      */
     bool step();
 
     /**
-     * Readable whenever worker completions are waiting to be drained
-     * (threads >= 1); -1 otherwise. Poll it next to the sockets: when
-     * it fires, call step().
+     * Readable whenever pool completions are waiting to be drained;
+     * -1 when the session has no cells on a pool. Poll it next to the
+     * sockets: when it fires, call step().
      */
     int wakeFd() const { return wakePipe_[0]; }
 
-    /** Discard all not-yet-started cells (a disconnected client). The
-     * in-flight cells, if any, still complete and are recorded. */
+    /** Discard all not-yet-dealt cells (a disconnected client). The
+     * running cells, if any, still complete and are recorded; once
+     * they are drained the session is finished(). */
     void abort();
 
-    /** Join workers, drain remaining events, write fresh results to
-     * the caches, and return the merged results. Terminal. */
+    /** Wait for this session's undealt and running cells (never for
+     * another session's), drain remaining events, write fresh results
+     * to the caches, and return the merged results. Terminal. */
     SweepResults finish();
 
     // -- Progress -----------------------------------------------------
@@ -153,14 +219,14 @@ class SweepSession
     std::size_t cacheHits() const { return cacheHits_; }
 
   private:
+    friend class CellPool;
+
     void probeAndQueue();
     void record(std::size_t idx, CellOutcome o, CellEventKind kind);
     void emit(CellEventKind kind, std::size_t idx, const CellOutcome *o);
-    void workerMain();
     void wakeDriver();
     void drainCompletions();
     void storeFreshResults();
-    void joinWorkers();
 
     SweepSpec spec_;
     SweepOptions opts_;
@@ -181,9 +247,10 @@ class SweepSession
     std::size_t recordedCells_ = 0;
     std::size_t discardedCells_ = 0;
 
-    // Worker machinery (threads >= 1): workers pull cells from
-    // pending_ and push completions here; the driving thread drains
-    // them in step(). One byte per completion keeps wakeFd readable
+    // Pool machinery: workers deal cells from pending_ and push
+    // completions here; the driving thread drains them in step(). On
+    // a pool, pending_, completed_ and running_ are guarded by the
+    // pool's mutex. One byte per completion keeps wakeFd readable
     // while the queue is non-empty.
     struct Completion
     {
@@ -191,11 +258,11 @@ class SweepSession
         CellOutcome outcome;
         bool isStart = false;  ///< a Started notification, no outcome
     };
-    mutable std::mutex mutex_;
     std::deque<Completion> completed_;
-    bool stop_ = false;
+    std::size_t running_ = 0;  ///< cells dealt and not yet completed
     int wakePipe_[2] = {-1, -1};
-    std::vector<std::thread> workers_;  ///< last: uses everything above
+    CellPool *pool_ = nullptr;          ///< where cells run; null: caller
+    std::unique_ptr<CellPool> ownPool_; ///< the private pool, if any
 };
 
 } // namespace svw::harness

@@ -25,8 +25,22 @@ namespace svw::service {
 namespace {
 
 /** Stop streaming into a connection whose client reads this far
- * behind; the session resumes once the buffer drains. */
+ * behind; the stream resumes once the buffer drains. */
 constexpr std::size_t writeBackpressureBytes = 4 * 1024 * 1024;
+
+/**
+ * Width of the shared simulation pool: one cell simulates at a time,
+ * beside the loop thread. Memory, not CPU, sets it: every simulating
+ * cell holds its own Core, whose L2 tag array alone is 768 KB (32768
+ * lines x 24 B). On a 4-CPU x86-64 host with sweepd pinned to 3 CPUs,
+ * four whole-figure fills at 20k instructions per cell and then 60
+ * cold fig6 synth rows peaked (VmHWM) at 8.6, 11.2 and 13.8 MB with 1,
+ * 2 and 3 cells simulating at once. In the benchmark's service_mixed
+ * workload a 3-wide pool read 17.5 and 17.9 MB of peak RSS against
+ * about 11.4 MB for one thread, far past the 10% bound. Widen the
+ * pool once per-cell memory shrinks.
+ */
+constexpr unsigned simulationThreads = 1;
 
 /** parseFlagNumber's contract (bench_common.hh), restated here so the
  * service layer does not depend on bench headers: digits only,
@@ -93,6 +107,13 @@ parseSweepdArgs(int argc, char **argv)
         } else if (a.rfind("--mem-cache-max-mb=", 0) == 0) {
             opts.memCacheMaxMb =
                 parseDaemonNumber(a.substr(19), "--mem-cache-max-mb");
+            if (opts.memCacheMaxMb > (UINT64_MAX >> 20)) {
+                std::fprintf(stderr,
+                             "error: --mem-cache-max-mb value '%s' out"
+                             " of range\n",
+                             a.substr(19).c_str());
+                std::exit(2);
+            }
         } else if (a == "--quiet") {
             opts.quiet = true;
         } else {
@@ -124,6 +145,8 @@ struct SweepServer::Conn
     std::string out;            ///< bytes awaiting the socket
     bool responding = false;    ///< request complete; producing output
     bool closeAfterFlush = false;
+    /** Client gone or done; the Conn lingers only while an aborted
+     * session's running cell completes. */
     bool dead = false;
     std::unique_ptr<harness::SweepSession> session;
 };
@@ -160,12 +183,13 @@ SweepServer::SweepServer(SweepdOptions opts) : opts_(std::move(opts))
 
     harness::processMemoryResultCache().setMaxBytes(
         opts_.memCacheMaxMb * 1024ull * 1024ull);
+    pool_ = std::make_unique<harness::CellPool>(simulationThreads);
 }
 
 SweepServer::~SweepServer()
 {
-    // Conn dtors run first conceptually: an active SweepSession's own
-    // destructor discards pending cells and joins its workers, so
+    // Sessions go before the pool: an active SweepSession's destructor
+    // discards its undealt cells and waits for its running one, so
     // tearing the server down mid-sweep is safe.
     for (auto &c : conns_)
         if (c->fd >= 0)
@@ -262,6 +286,8 @@ SweepServer::statusJson() const
     j += ",\"memCacheHits\":" + std::to_string(mem.hits());
     j += ",\"memCacheEvictions\":" + std::to_string(mem.evictions());
     j += ",\"activeSessions\":" + std::to_string(active);
+    j += ",\"queuedCells\":" + std::to_string(pool_->queuedCells());
+    j += ",\"runningCells\":" + std::to_string(pool_->runningCells());
     j += ",\"sessionsServed\":" + std::to_string(sessionsServed_);
     j += std::string(",\"draining\":") +
         (stopping_ ? "true" : "false");
@@ -351,13 +377,7 @@ SweepServer::startSweep(Conn &c)
         if (!parseParamNumber(it->second, insts) || insts == 0)
             return reject("bad 'insts' value '" + it->second + "'");
 
-    std::uint64_t threads = 0;
-    if (auto it = params.find("threads"); it != params.end())
-        if (!parseParamNumber(it->second, threads) || threads > 256)
-            return reject("bad 'threads' value '" + it->second + "'");
-
     harness::SweepOptions sopts;
-    sopts.threads = static_cast<unsigned>(threads);
     sopts.cacheDir = opts_.cacheDir;
     // The daemon's reason to exist: the process-wide memory result
     // cache serves warm repeats even with no disk cache configured.
@@ -366,7 +386,9 @@ SweepServer::startSweep(Conn &c)
     c.out += chunkedResponseHead(200, "OK", "application/x-ndjson");
 
     Conn *conn = &c;
-    auto cb = [this, conn](const harness::CellEvent &ev) {
+    auto cb = [conn](const harness::CellEvent &ev) {
+        if (conn->dead)
+            return;  // an aborted session's running cell: nobody reads
         const char *kind =
             ev.kind == harness::CellEventKind::Started ? "started"
             : ev.kind == harness::CellEventKind::CachedHit ? "cached"
@@ -387,7 +409,7 @@ SweepServer::startSweep(Conn &c)
 
     try {
         c.session = std::make_unique<harness::SweepSession>(
-            def->build(suite, insts), sopts);
+            def->build(suite, insts), sopts, pool_.get());
         c.session->start(cb);
     } catch (const std::exception &e) {
         // Headers are already queued, so stream the failure as the
@@ -413,6 +435,9 @@ SweepServer::finishSession(Conn &c)
     const std::size_t hits = c.session->cacheHits();
     c.session->finish();
     c.session.reset();
+    ++sessionsServed_;
+    if (c.dead)
+        return;  // aborted: its client is gone
     std::string line = "{\"event\":\"finished\",\"cells\":" +
         std::to_string(cells) + ",\"failures\":" +
         std::to_string(failures) + ",\"cacheHits\":" +
@@ -420,7 +445,6 @@ SweepServer::finishSession(Conn &c)
     c.out += encodeChunk(line);
     c.out += finalChunk();
     c.closeAfterFlush = true;
-    ++sessionsServed_;
     if (!opts_.quiet)
         std::fprintf(stderr,
                      "sweepd: session done (%zu cells, %zu cached,"
@@ -431,20 +455,19 @@ SweepServer::finishSession(Conn &c)
 void
 SweepServer::failConn(Conn &c)
 {
-    if (c.session) {
-        // Abort only this connection's session: pending cells are
-        // dropped; in-flight ones (if threaded) complete inside
-        // finish() and their results still reach the caches.
-        c.session->abort();
-        c.session->finish();
-        c.session.reset();
-        ++sessionsServed_;
-        if (!opts_.quiet)
-            std::fprintf(stderr,
-                         "sweepd: client disconnected; session"
-                         " aborted\n");
-    }
     c.dead = true;
+    if (!c.session)
+        return;
+    // Abort only this connection's session: undealt cells are dropped.
+    // A cell already running keeps the session (and this Conn) alive
+    // until its completion wakes the loop; finishing then stores its
+    // result in the caches. The loop never waits on it.
+    c.session->abort();
+    if (!opts_.quiet)
+        std::fprintf(stderr,
+                     "sweepd: client disconnected; session aborted\n");
+    if (c.session->finished())
+        finishSession(c);
 }
 
 void
@@ -480,7 +503,9 @@ SweepServer::stepConn(Conn &c)
     } catch (const std::exception &e) {
         // step() contains per-cell failures; anything escaping is an
         // engine-level fault. Report it on this stream and keep the
-        // daemon alive.
+        // daemon alive. Dropping the session waits for its running
+        // cell, if any: a fault, unlike a disconnect, may block the
+        // loop for one cell.
         c.session.reset();
         c.out += encodeChunk(std::string("{\"event\":\"error\",") +
                              "\"message\":\"" +
@@ -489,7 +514,8 @@ SweepServer::stepConn(Conn &c)
         c.closeAfterFlush = true;
         ++sessionsServed_;
     }
-    flushConn(c);
+    if (!c.dead)
+        flushConn(c);
 }
 
 void
@@ -507,33 +533,25 @@ SweepServer::run()
             owner.push_back(nullptr);
         }
 
-        bool runnable = false;
         for (auto &cp : conns_) {
             Conn &c = *cp;
-            short events = POLLIN;
-            if (!c.out.empty())
-                events |= POLLOUT;
-            fds.push_back(pollfd{c.fd, events, 0});
-            owner.push_back(&c);
-            if (c.session) {
-                const bool backpressured =
-                    c.out.size() >= writeBackpressureBytes;
-                const int wake = c.session->wakeFd();
-                if (wake >= 0 && !backpressured) {
-                    // Threaded session: completions arrive via pipe.
-                    fds.push_back(pollfd{wake, POLLIN, 0});
-                    owner.push_back(&c);
-                } else if (wake < 0 && !backpressured &&
-                           !c.session->finished()) {
-                    // In-caller session: a cell runs this loop turn.
-                    runnable = true;
-                }
+            if (!c.dead) {
+                short events = POLLIN;
+                if (!c.out.empty())
+                    events |= POLLOUT;
+                fds.push_back(pollfd{c.fd, events, 0});
+                owner.push_back(&c);
+            }
+            // Completions arrive through the session's wake pipe. A
+            // slow reader's is left unpolled until its buffer drains.
+            if (c.session && c.session->wakeFd() >= 0 &&
+                (c.dead || c.out.size() < writeBackpressureBytes)) {
+                fds.push_back(pollfd{c.session->wakeFd(), POLLIN, 0});
+                owner.push_back(&c);
             }
         }
 
-        const int timeout = runnable ? 0 : -1;
-        if (::poll(fds.data(), static_cast<nfds_t>(fds.size()),
-                   timeout) < 0) {
+        if (::poll(fds.data(), static_cast<nfds_t>(fds.size()), -1) < 0) {
             if (errno == EINTR)
                 continue;
             break;
@@ -561,9 +579,11 @@ SweepServer::run()
                     acceptClients();
                 continue;
             }
-            if (c->dead || fds[i].revents == 0)
+            if (fds[i].revents == 0)
                 continue;
             if (fds[i].fd == c->fd) {
+                if (c->dead)
+                    continue;
                 if (fds[i].revents & (POLLERR | POLLHUP | POLLNVAL)) {
                     // POLLHUP with streamed data still buffered means
                     // the peer is gone; treat like a failed write.
@@ -581,22 +601,18 @@ SweepServer::run()
             }
         }
 
-        // One in-caller cell per loop turn per session:
-        // long sweeps interleave with socket work and each other.
-        for (auto &cp : conns_) {
-            Conn &c = *cp;
-            if (!c.dead && c.session && c.session->wakeFd() < 0 &&
-                c.out.size() < writeBackpressureBytes)
-                stepConn(c);
-        }
-
+        // A dead connection's socket closes now; the Conn itself stays
+        // until its aborted session's running cell has completed.
         for (auto it = conns_.begin(); it != conns_.end();) {
-            if ((*it)->dead) {
-                ::close((*it)->fd);
-                it = conns_.erase(it);
-            } else {
-                ++it;
+            Conn &c = **it;
+            if (c.dead && c.fd >= 0) {
+                ::close(c.fd);
+                c.fd = -1;
             }
+            if (c.dead && !c.session)
+                it = conns_.erase(it);
+            else
+                ++it;
         }
     }
 }

@@ -1,11 +1,11 @@
 /**
  * @file
- * sweepd: the long-lived sweep service daemon's server core. A
- * single-threaded poll(2) event loop (modeled on pazpar2's
- * single-process metasearch server) multiplexes non-blocking client
- * sockets with per-connection state machines, keeping the process-wide
- * ProgramCache / MemoryResultCache / disk ResultCache warm across
- * requests — a warm repeat request simulates nothing.
+ * sweepd: the long-lived sweep service daemon's server core. A poll(2)
+ * event loop (modeled on pazpar2's single-process metasearch server)
+ * multiplexes non-blocking client sockets with per-connection state
+ * machines, keeping the process-wide ProgramCache / MemoryResultCache
+ * / disk ResultCache warm across requests — a warm repeat request
+ * simulates nothing.
  *
  * Protocol (one request per connection, Connection: close):
  *
@@ -15,25 +15,31 @@
  *      insts=N             explicit per-cell instruction target
  *      bench=W             restrict to one workload row
  *      families=paper|synth|all   row families (default paper)
- *      threads=N           per-session worker threads (0 = run cells
- *                          on the event-loop thread, the default)
- *    The response streams chunked JSON lines as the session advances:
- *    {"event":"started"|"done"|"cached"...} progress lines, each
- *    successful cell's lossless RunResult JSON line (byte-identical
- *    to the CLI binaries' --emit-cells output), and a final
- *    {"event":"finished",...} trailer.
+ *    Unknown keys are ignored. The response streams chunked JSON lines
+ *    as the session advances: {"event":"started"|"done"|"cached"...}
+ *    progress lines, each successful cell's lossless RunResult JSON
+ *    line (byte-identical to the CLI binaries' --emit-cells output),
+ *    and a final {"event":"finished",...} trailer.
  *
  *  - GET /status — JSON: cache occupancy (entries/bytes/hits/
  *    evictions), program-cache builds, total cell simulations,
- *    in-flight and served session counts.
+ *    in-flight and served session counts, and the simulation queue:
+ *    queuedCells (cells of every session waiting for the simulation
+ *    thread) and runningCells (cells simulating right now).
  *
  *  - GET /figures — JSON list of openable figure names and titles.
  *
- * Sessions run incrementally (SweepSession::start/step): with
- * threads=0 each loop turn runs one cell of one runnable session, so many sessions and socket I/O interleave on one thread;
- * with threads=N the session's workers simulate while the loop polls
- * the session wakeFd and drains completions as they land. A client
- * that disconnects mid-stream (EPIPE) aborts only its own session.
+ * The loop only parses requests, probes caches, drains completions and
+ * writes sockets; it never runs a cell. The server owns one CellPool
+ * (harness/session.hh), built before the first connection and
+ * destroyed after the last, and every session submits its cache
+ * misses to it. The pool deals cells round-robin across sessions, one
+ * cell per session per turn, and the loop polls each session's
+ * wakeFd to stream completions as they land, so a warm request
+ * answers while a cold cell simulates. A client that disconnects
+ * mid-stream (EPIPE) aborts only its own session: undealt cells are
+ * dropped, and a cell already running completes, reaches the memory
+ * cache, and finishes the session when its completion wakes the loop.
  * requestStop() (the SIGTERM path) closes the listener and drains:
  * in-flight sessions finish streaming, then run() returns.
  */
@@ -46,6 +52,10 @@
 #include <list>
 #include <memory>
 #include <string>
+
+namespace svw::harness {
+class CellPool;
+}
 
 namespace svw::service {
 
@@ -111,6 +121,9 @@ class SweepServer
     std::string statusJson() const;
 
     SweepdOptions opts_;
+    /** The simulation thread every session shares; declared before
+     * conns_ so it outlives every session. */
+    std::unique_ptr<harness::CellPool> pool_;
     unsigned port_ = 0;
     int listenFd_ = -1;
     int stopPipe_[2] = {-1, -1};

@@ -217,6 +217,9 @@ TEST(BenchArgs, FamiliesAndMemCacheFlagsParseAndDefault)
     EXPECT_EQ(parse({}).memCacheMaxMb, 512u);
     EXPECT_EQ(parse({"--mem-cache-max-mb=64"}).memCacheMaxMb, 64u);
     EXPECT_EQ(parse({"--mem-cache-max-mb=0"}).memCacheMaxMb, 0u);
+    // The largest megabyte count whose byte count fits a uint64.
+    EXPECT_EQ(parse({"--cache-max-mb=17592186044415"}).cacheMaxMb,
+              17592186044415u);
 
     EXPECT_EQ(parse({"--emit-cells=/tmp/c.jsonl"}).emitCells,
               "/tmp/c.jsonl");
@@ -233,6 +236,13 @@ TEST(BenchArgsDeath, FamiliesAndMemCacheFlagsValidate)
     EXPECT_EXIT(parse({"--mem-cache-max-mb=64x"}),
                 ::testing::ExitedWithCode(2),
                 "bad number '64x' for --mem-cache-max-mb");
+    // 2^44 MB is 2^64 bytes: it would wrap to a zero-byte bound.
+    EXPECT_EXIT(parse({"--cache-max-mb=17592186044416"}),
+                ::testing::ExitedWithCode(2),
+                "--cache-max-mb value '17592186044416' out of range");
+    EXPECT_EXIT(parse({"--mem-cache-max-mb=17592186044417"}),
+                ::testing::ExitedWithCode(2),
+                "--mem-cache-max-mb value '17592186044417' out of range");
     EXPECT_EXIT(parse({"--emit-cells="}), ::testing::ExitedWithCode(2),
                 "--emit-cells needs a file path");
 }
@@ -266,6 +276,9 @@ TEST(BenchArgsDeath, SweepdFlagsValidate)
     EXPECT_EXIT(parseDaemon({"--mem-cache-max-mb=1e3"}),
                 ::testing::ExitedWithCode(2),
                 "bad number '1e3' for --mem-cache-max-mb");
+    EXPECT_EXIT(parseDaemon({"--mem-cache-max-mb=17592186044417"}),
+                ::testing::ExitedWithCode(2),
+                "--mem-cache-max-mb value '17592186044417' out of range");
     EXPECT_EXIT(parseDaemon({"--bind="}), ::testing::ExitedWithCode(2),
                 "--bind needs an address");
     EXPECT_EXIT(parseDaemon({"--frobnicate"}),

@@ -2,11 +2,13 @@
  * @file
  * SweepSession engine-API tests (harness/session.hh): the blocking
  * path must match runSweep byte for byte, both incremental driving
- * styles (in-caller step() and threaded wakeFd draining) must converge
- * to the same merged results, cache-served cells must surface as
- * CachedHit events without re-simulating, abort() must discard pending
- * work only, and the LRU-bounded MemoryResultCache must evict oldest
- * first while never evicting the newest entry.
+ * styles (in-caller step() and pool wakeFd draining) must converge
+ * to the same merged results, sessions sharing one CellPool must each
+ * match their blocking run (and survive a neighbour destroyed
+ * mid-cell), cache-served cells must surface as CachedHit events
+ * without re-simulating, abort() must discard pending work only, and
+ * the LRU-bounded MemoryResultCache must evict oldest first while
+ * never evicting the newest entry.
  */
 
 #include <gtest/gtest.h>
@@ -87,6 +89,26 @@ struct Recorder
     }
 };
 
+/** Drive @p sessions (started on pools) until all are finished,
+ * sleeping in poll(2) on their wake fds. */
+void
+driveUntilFinished(const std::vector<SweepSession *> &sessions)
+{
+    for (;;) {
+        std::vector<pollfd> fds;
+        for (SweepSession *s : sessions)
+            if (!s->finished())
+                fds.push_back(pollfd{s->wakeFd(), POLLIN, 0});
+        if (fds.empty())
+            return;
+        ASSERT_GT(::poll(fds.data(), fds.size(), 30'000), 0)
+            << "wakeFd timed out";
+        for (SweepSession *s : sessions)
+            if (!s->finished())
+                s->step();
+    }
+}
+
 } // namespace
 
 TEST(SweepSession, BlockingRunMatchesRunSweepAndStreamsEvents)
@@ -160,6 +182,66 @@ TEST(SweepSession, IncrementalThreadedDrainsViaWakeFd)
     const SweepResults res = session.finish();
     EXPECT_EQ(resultLines(direct), resultLines(res));
     EXPECT_EQ(rec.count(CellEventKind::Done), spec.size());
+}
+
+TEST(SweepSession, SessionsSharingOnePoolMatchTheirBlockingRuns)
+{
+    const SweepSpec specA = smallSpec(4200);
+    const SweepSpec specB = fig7Spec({"crafty"}, 4300);
+    const SweepResults directA = runSweep(specA, SweepOptions{});
+    const SweepResults directB = runSweep(specB, SweepOptions{});
+
+    CellPool pool(1);
+    Recorder recA, recB;
+    SweepSession a(specA, SweepOptions{}, &pool);
+    SweepSession b(specB, SweepOptions{}, &pool);
+    a.start(recA.callback());
+    b.start(recB.callback());
+    ASSERT_GE(a.wakeFd(), 0);
+    ASSERT_GE(b.wakeFd(), 0);
+    driveUntilFinished({&a, &b});
+
+    EXPECT_EQ(resultLines(directA), resultLines(a.finish()));
+    EXPECT_EQ(resultLines(directB), resultLines(b.finish()));
+    // Width one: each session's cells ran, and streamed, in spec order.
+    EXPECT_EQ(resultLines(directA), recA.lines);
+    EXPECT_EQ(resultLines(directB), recB.lines);
+    recA.expectStartedBeforeDone();
+    recB.expectStartedBeforeDone();
+    EXPECT_EQ(pool.queuedCells(), 0u);
+    EXPECT_EQ(pool.runningCells(), 0u);
+}
+
+TEST(SweepSession, DestroyingASessionMidCellLeavesItsPoolNeighbourIntact)
+{
+    const SweepSpec longSpec = fig6Spec({"gzip"}, 300'000);
+    const SweepSpec spec = smallSpec(4400);
+    const SweepResults direct = runSweep(spec, SweepOptions{});
+
+    CellPool pool(1);
+    Recorder doomedRec, rec;
+    auto doomed =
+        std::make_unique<SweepSession>(longSpec, SweepOptions{}, &pool);
+    SweepSession survivor(spec, SweepOptions{}, &pool);
+    doomed->start(doomedRec.callback());
+    survivor.start(rec.callback());
+
+    // The doomed session's first Started: its cell is on the worker.
+    while (doomedRec.count(CellEventKind::Started) == 0) {
+        pollfd p{doomed->wakeFd(), POLLIN, 0};
+        ASSERT_GT(::poll(&p, 1, 30'000), 0) << "wakeFd timed out";
+        doomed->step();
+    }
+    const std::uint64_t callsBefore = runCellCalls();
+    doomed.reset();  // waits for its running cell, drops the rest
+
+    driveUntilFinished({&survivor});
+    EXPECT_EQ(resultLines(direct), resultLines(survivor.finish()));
+    EXPECT_EQ(rec.count(CellEventKind::Done), spec.size());
+    rec.expectStartedBeforeDone();
+    // Only the survivor's cells ran after the destruction.
+    EXPECT_LE(runCellCalls() - callsBefore, spec.size());
+    EXPECT_EQ(pool.runningCells(), 0u);
 }
 
 TEST(SweepSession, WarmMemoryCacheServesCachedHitsWithoutSimulating)

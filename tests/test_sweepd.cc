@@ -7,9 +7,11 @@
  * contracts: the streamed result lines are byte-identical to the
  * engine's sequential results (and hence to the CLI binaries), a warm
  * repeat request simulates nothing, N concurrent clients each receive
- * complete well-formed streams, a mid-stream client disconnect aborts
- * only that session and leaves the daemon serving, and malformed or
- * oversized requests are rejected with 400 without crashing.
+ * complete well-formed streams, a warm request and GET /status answer
+ * while a cold cell simulates, cold sweeps share the simulation thread
+ * round-robin, a mid-stream client disconnect aborts only that session
+ * and leaves the daemon serving, and malformed or oversized requests
+ * are rejected with 400 without crashing.
  */
 
 #include <gtest/gtest.h>
@@ -19,7 +21,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -108,6 +109,53 @@ readAll(int fd)
     return out;
 }
 
+/** Read from @p fd into @p out until @p needle appears (or EOF). */
+void
+readUntil(int fd, std::string &out, const std::string &needle)
+{
+    char chunk[8192];
+    while (out.find(needle) == std::string::npos) {
+        const ssize_t n = ::read(fd, chunk, sizeof(chunk));
+        if (n <= 0)
+            return;
+        out.append(chunk, static_cast<std::size_t>(n));
+    }
+}
+
+/** Append whatever @p fd has buffered right now, without blocking. */
+void
+readAvailable(int fd, std::string &out)
+{
+    char chunk[8192];
+    for (;;) {
+        const ssize_t n = ::recv(fd, chunk, sizeof(chunk), MSG_DONTWAIT);
+        if (n <= 0)
+            return;
+        out.append(chunk, static_cast<std::size_t>(n));
+    }
+}
+
+std::string
+sweepRequest(const std::string &body)
+{
+    return "POST /sweep HTTP/1.1\r\n"
+           "Host: localhost\r\n"
+           "Content-Type: application/x-www-form-urlencoded\r\n"
+           "Content-Length: " +
+        std::to_string(body.size()) + "\r\n\r\n" + body;
+}
+
+/** Send a sweep request and return the open connection to stream
+ * from. */
+int
+openSweep(unsigned port, const std::string &body)
+{
+    const int fd = connectTo(port);
+    EXPECT_GE(fd, 0);
+    sendAll(fd, sweepRequest(body));
+    return fd;
+}
+
 std::string
 request(unsigned port, const std::string &raw)
 {
@@ -122,12 +170,7 @@ request(unsigned port, const std::string &raw)
 std::string
 postSweep(unsigned port, const std::string &body)
 {
-    return request(port,
-                   "POST /sweep HTTP/1.1\r\n"
-                   "Host: localhost\r\n"
-                   "Content-Type: application/x-www-form-urlencoded\r\n"
-                   "Content-Length: " +
-                       std::to_string(body.size()) + "\r\n\r\n" + body);
+    return request(port, sweepRequest(body));
 }
 
 std::string
@@ -183,6 +226,25 @@ streamResultLines(const std::string &body)
         if (line.rfind("{\"workload\"", 0) == 0)
             lines.push_back(line);
     }
+    return lines;
+}
+
+/** The engine's result lines for a figure request, in spec order:
+ * what the daemon builds for figure=@p figure (and bench=@p bench,
+ * when set) at @p insts per cell. */
+std::vector<std::string>
+engineLines(const std::string &figure, const std::string &bench,
+            std::uint64_t insts)
+{
+    const harness::FigureDef *def = harness::findFigure(figure);
+    EXPECT_NE(def, nullptr);
+    const std::vector<std::string> suite =
+        bench.empty() ? def->paperSuite() : std::vector<std::string>{bench};
+    const harness::SweepResults res =
+        runSweep(def->build(suite, insts), harness::SweepOptions{});
+    std::vector<std::string> lines;
+    for (std::size_t i = 0; i < res.spec().size(); ++i)
+        lines.push_back(harness::runResultToJson(res.outcome(i).result));
     return lines;
 }
 
@@ -276,16 +338,13 @@ TEST_F(SweepdTest, ConcurrentClientsEachGetCompleteStreams)
 TEST_F(SweepdTest, MidStreamDisconnectAbortsOnlyThatSession)
 {
     const std::uint64_t callsBefore = harness::runCellCalls();
+    const std::size_t entriesBefore =
+        harness::processMemoryResultCache().entries();
 
     // A full-suite sweep (80 cells) the client walks away from after
     // the first bytes arrive.
-    const std::string body = "figure=fig5&insts=21000";
-    const int fd = connectTo(port());
+    const int fd = openSweep(port(), "figure=fig5&insts=21000");
     ASSERT_GE(fd, 0);
-    sendAll(fd,
-            "POST /sweep HTTP/1.1\r\nHost: localhost\r\n"
-            "Content-Length: " +
-                std::to_string(body.size()) + "\r\n\r\n" + body);
     char first[64];
     ASSERT_GT(::read(fd, first, sizeof(first)), 0);  // stream started
     ::close(fd);  // mid-stream disconnect
@@ -304,7 +363,12 @@ TEST_F(SweepdTest, MidStreamDisconnectAbortsOnlyThatSession)
     EXPECT_TRUE(aborted);
 
     // Abort discarded pending units: nowhere near all 80 cells ran.
-    EXPECT_LT(harness::runCellCalls() - callsBefore, 40u);
+    const std::uint64_t ran = harness::runCellCalls() - callsBefore;
+    EXPECT_LT(ran, 40u);
+    // Every cell that ran, the one simulating at the disconnect
+    // included, reached the memory cache for the next request.
+    EXPECT_EQ(harness::processMemoryResultCache().entries() - entriesBefore,
+              ran);
 
     // And an unrelated request still completes.
     const std::string ok =
@@ -341,20 +405,61 @@ TEST_F(SweepdTest, MalformedAndOversizedRequestsGet400)
               std::string::npos);
 }
 
-TEST_F(SweepdTest, ThreadedSessionStreamsIdenticalResults)
+TEST_F(SweepdTest, WarmRequestAndStatusAnswerWhileAColdCellRuns)
 {
-    // Cold request on session worker threads first (exercises the
-    // wakeFd drain path), then a sequential warm repeat of the same
-    // cells. Completion order differs; the result bytes must not —
-    // compare sorted.
-    const std::string thr = postSweep(
-        port(), "figure=fig8&insts=6000&bench=vpr.r&threads=2");
-    const std::string seq =
-        postSweep(port(), "figure=fig8&insts=6000&bench=vpr.r");
-    auto a = streamResultLines(decodeChunkedBody(thr));
-    auto b = streamResultLines(decodeChunkedBody(seq));
-    std::sort(a.begin(), a.end());
-    std::sort(b.begin(), b.end());
-    EXPECT_EQ(a, b);
-    ASSERT_FALSE(a.empty());
+    // Prefill a small figure, so the warm request below is all hits.
+    const std::string warmReq = "figure=fig8&insts=6100&bench=vpr.r";
+    ASSERT_NE(decodeChunkedBody(postSweep(port(), warmReq))
+                  .find("\"event\":\"finished\""),
+              std::string::npos);
+
+    // One long cold cell. Its "started" event means it is simulating.
+    const int cold =
+        openSweep(port(), "figure=fig6&bench=gzip&insts=1000000");
+    ASSERT_GE(cold, 0);
+    std::string coldRaw;
+    readUntil(cold, coldRaw, "\"event\":\"started\"");
+    ASSERT_NE(coldRaw.find("\"event\":\"started\""), std::string::npos);
+
+    const std::string status = getPath(port(), "/status");
+    EXPECT_NE(status.find("\"runningCells\":1"), std::string::npos)
+        << status;
+    const std::string warmBody = decodeChunkedBody(postSweep(port(), warmReq));
+    EXPECT_NE(warmBody.find("\"event\":\"finished\""), std::string::npos);
+    EXPECT_EQ(warmBody.find("\"event\":\"done\""), std::string::npos);
+
+    // Both answered before the cold cell finished: its stream holds no
+    // "done" yet.
+    readAvailable(cold, coldRaw);
+    EXPECT_EQ(coldRaw.find("\"event\":\"done\""), std::string::npos)
+        << "the warm request waited for the cold cell";
+    ::close(cold);  // aborts the cold sweep; its running cell completes
+}
+
+TEST_F(SweepdTest, ColdSweepsShareTheSimulationThreadRoundRobin)
+{
+    // A long sweep (80 cells) and a short one (5 cells) started once
+    // the long one is simulating. Dealt round-robin, the short one
+    // finishes first; dealt first-come, it would wait for all 80.
+    const std::vector<std::string> longWant = engineLines("fig5", "", 4100);
+    const std::vector<std::string> shortWant =
+        engineLines("fig7", "gzip", 4100);
+
+    const int longFd = openSweep(port(), "figure=fig5&insts=4100");
+    ASSERT_GE(longFd, 0);
+    std::string longRaw;
+    readUntil(longFd, longRaw, "\"event\":\"started\"");
+
+    const std::string shortResp =
+        postSweep(port(), "figure=fig7&bench=gzip&insts=4100");
+    readAvailable(longFd, longRaw);
+    EXPECT_EQ(longRaw.find("\"event\":\"finished\""), std::string::npos)
+        << "the short sweep waited for the long one";
+
+    longRaw += readAll(longFd);
+    ::close(longFd);
+    // One simulation thread runs each session's cells in spec order,
+    // so both streams match the engine line for line.
+    EXPECT_EQ(streamResultLines(decodeChunkedBody(shortResp)), shortWant);
+    EXPECT_EQ(streamResultLines(decodeChunkedBody(longRaw)), longWant);
 }
