@@ -21,6 +21,7 @@
 #include <unistd.h>
 
 #include "harness/executor.hh"
+#include "harness/figures.hh"
 #include "harness/serialize.hh"
 #include "harness/sweep.hh"
 #include "prog/trace.hh"
@@ -109,6 +110,62 @@ TEST(CellKey, StableAndNameIndependent)
     EXPECT_NE(k.material.find(resultCacheCodeVersion), std::string::npos);
     EXPECT_NE(k.material.find("workload=gzip"), std::string::npos);
     EXPECT_NE(k.material.find("rle.maxPinnedRegs="), std::string::npos);
+
+    // The exact material and file name of two real figure cells. A
+    // --cache-dir filled by any earlier build is found by these bytes,
+    // so a drift in the key renderer would silently orphan it.
+    const SweepSpec f5 = fig5Spec({"gzip"}, 20'000);
+    const CellKey k5 = cellKey(f5.cell(f5.index("gzip", "BASE")));
+    EXPECT_EQ(k5.material,
+        "version=svw-sim-2|workload=gzip|insts=20000|golden=1|label=BASE|"
+        "fetchWidth=8|dispatchWidth=8|issueWidth=8|commitWidth=8|"
+        "intIssue=5|loadIssue=2|branchIssue=1|robEntries=512|"
+        "iqEntries=200|numPhysRegs=448|renameCheckpoints=64|"
+        "frontendDepth=7|mispredictRedirect=3|rexTransit=0|dcachePorts=1|"
+        "bpred.hybridEntries=8192|bpred.btbEntries=2048|bpred.btbAssoc=2|"
+        "bpred.rasEntries=32|mem.l1i=32768/2/64/2|mem.l1d=32768/2/64/2|"
+        "mem.l2=2097152/8/64/15|mem.memLatency=150|"
+        "mem.l2BusCyclesPerLine=4|mem.memBusCyclesPerLine=16|"
+        "mem.l1dBanks=2|lsu.lqEntries=128|lsu.sqEntries=64|lsu.nlq=0|"
+        "lsu.ssq=0|lsu.fsqEntries=16|lsu.fsqPorts=1|"
+        "lsu.fwdBufEntriesPerBank=8|lsu.loadExtraLatency=0|"
+        "lsu.lqValueCheck=0|lsu.storeIssueWidth=1|"
+        "lsu.steeringEntries=4096|svw.enabled=0|svw.updateOnForward=1|"
+        "svw.ssnBits=16|svw.ssbf.entries=512|svw.ssbf.granularityBytes=8|"
+        "svw.ssbf.dualHash=0|svw.ssbf.infinite=0|"
+        "svw.speculativeSsbfUpdate=1|rex.enabled=0|rex.perfect=0|"
+        "rex.width=4|rex.storeBufferEntries=64|rex.cacheLatency=2|"
+        "rex.regfileReadLatency=2|rex.svwReplacesReExecution=0|"
+        "rle.enabled=0|rle.itEntries=512|rle.itAssoc=2|rle.squashReuse=1|"
+        "rle.integrateAlu=1|rle.maxPinnedRegs=96|nlqsm=0");
+    EXPECT_EQ(k5.fileName(), "e595f64dac1854c7.json");
+
+    const SweepSpec f8 = fig8Spec({"vortex"}, 20'000);
+    const CellKey k8 = cellKey(f8.cell(f8.index("vortex", "Bloom")));
+    EXPECT_EQ(k8.material,
+        "version=svw-sim-2|workload=vortex|insts=20000|golden=1|"
+        "label=SSQ+SVW+UPD|fetchWidth=8|dispatchWidth=8|issueWidth=8|"
+        "commitWidth=8|intIssue=5|loadIssue=2|branchIssue=1|"
+        "robEntries=512|iqEntries=200|numPhysRegs=448|"
+        "renameCheckpoints=64|frontendDepth=7|mispredictRedirect=3|"
+        "rexTransit=1|dcachePorts=1|bpred.hybridEntries=8192|"
+        "bpred.btbEntries=2048|bpred.btbAssoc=2|bpred.rasEntries=32|"
+        "mem.l1i=32768/2/64/2|mem.l1d=32768/2/64/2|"
+        "mem.l2=2097152/8/64/15|mem.memLatency=150|"
+        "mem.l2BusCyclesPerLine=4|mem.memBusCyclesPerLine=16|"
+        "mem.l1dBanks=2|lsu.lqEntries=128|lsu.sqEntries=64|lsu.nlq=0|"
+        "lsu.ssq=1|lsu.fsqEntries=16|lsu.fsqPorts=1|"
+        "lsu.fwdBufEntriesPerBank=8|lsu.loadExtraLatency=0|"
+        "lsu.lqValueCheck=0|lsu.storeIssueWidth=1|"
+        "lsu.steeringEntries=4096|svw.enabled=1|svw.updateOnForward=1|"
+        "svw.ssnBits=16|svw.ssbf.entries=512|svw.ssbf.granularityBytes=8|"
+        "svw.ssbf.dualHash=1|svw.ssbf.infinite=0|"
+        "svw.speculativeSsbfUpdate=1|rex.enabled=1|rex.perfect=0|"
+        "rex.width=4|rex.storeBufferEntries=64|rex.cacheLatency=2|"
+        "rex.regfileReadLatency=0|rex.svwReplacesReExecution=0|"
+        "rle.enabled=0|rle.itEntries=512|rle.itAssoc=2|rle.squashReuse=1|"
+        "rle.integrateAlu=1|rle.maxPinnedRegs=96|nlqsm=0");
+    EXPECT_EQ(k8.fileName(), "7ef79a960739b491.json");
 }
 
 TEST(CellKey, EverySimulationInputChangesTheKey)
@@ -313,6 +370,17 @@ TEST(ResultCache, ColdPopulatesWarmServesByteIdenticalWithZeroRuns)
     const SweepResults warmPar = runSweep(spec, par);
     EXPECT_EQ(runCellCalls() - calls2, 0u);
     EXPECT_EQ(resultsJson(cold), resultsJson(warmPar));
+
+    // The cold run promoted every result into the memory front, so the
+    // warm legs above never read the entry files. Drop the front: this
+    // leg parses each entry back from disk and re-renders its line.
+    processMemoryResultCache().clear();
+    const std::uint64_t calls3 = runCellCalls();
+    const SweepResults warmDisk = runSweep(spec, opts);
+    EXPECT_EQ(runCellCalls() - calls3, 0u) << "disk leg simulated";
+    for (std::size_t i = 0; i < spec.size(); ++i)
+        EXPECT_TRUE(warmDisk.outcome(i).cached);
+    EXPECT_EQ(resultsJson(cold), resultsJson(warmDisk));
 }
 
 TEST(ResultCache, AnyInputChangeMissesOnlyThatCell)
@@ -588,6 +656,20 @@ TEST(ResultCache, CacheEntryLineRoundTripsMaterialAndResult)
     r.cycles = 987654321;
     r.ipc = 2.0 / 7.0;
     const std::string material = "version=x|workload=perl.d|quote\"\\|";
+
+    // The exact entry line: the on-disk format every --cache-dir holds.
+    EXPECT_EQ(cacheEntryToLine(material, r),
+              "{\"v\":1,\"material\":\"version=x|workload=perl.d|"
+              "quote\\\"\\\\|\",\"result\":{\"workload\":\"perl.d\","
+              "\"config\":\"RLE+SVW+UPD\",\"halted\":false,"
+              "\"golden_ok\":true,\"cycles\":987654321,\"insts\":0,"
+              "\"loads\":0,\"stores\":0,\"ipc\":0.2857142857142857,"
+              "\"loads_marked\":0,\"loads_reexecuted\":0,"
+              "\"loads_filtered_by_svw\":0,\"rex_flushes\":0,"
+              "\"rex_rate\":0,\"marked_rate\":0,\"elim_rate\":0,"
+              "\"bypass_share\":0,\"fsq_load_share\":0,"
+              "\"branch_squashes\":0,\"ordering_squashes\":0,"
+              "\"wrap_drains\":0}}\n");
 
     std::string backMaterial;
     RunResult back;

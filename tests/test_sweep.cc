@@ -10,7 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <limits>
+#include <random>
 #include <sstream>
 
 #include "harness/executor.hh"
@@ -61,17 +64,59 @@ TEST(SweepSpec, IndexesGroupsAndBaselines)
                  std::logic_error);
 }
 
+namespace {
+
+/** Field-by-field equality; doubles compared by bit pattern, so a
+ * round trip that loses -0.0's sign or a subnormal's last bit fails. */
+void
+expectSameResult(const RunResult &back, const RunResult &r)
+{
+    auto bits = [](double d) {
+        std::uint64_t u;
+        std::memcpy(&u, &d, sizeof(u));
+        return u;
+    };
+    EXPECT_EQ(back.workload, r.workload);
+    EXPECT_EQ(back.config, r.config);
+    EXPECT_EQ(back.halted, r.halted);
+    EXPECT_EQ(back.goldenOk, r.goldenOk);
+    EXPECT_EQ(back.cycles, r.cycles);
+    EXPECT_EQ(back.insts, r.insts);
+    EXPECT_EQ(back.loads, r.loads);
+    EXPECT_EQ(back.stores, r.stores);
+    // Exact bit equality, not near: the figure output depends on it.
+    EXPECT_EQ(bits(back.ipc), bits(r.ipc));
+    EXPECT_EQ(bits(back.rexRate), bits(r.rexRate));
+    EXPECT_EQ(bits(back.markedRate), bits(r.markedRate));
+    EXPECT_EQ(bits(back.elimRate), bits(r.elimRate));
+    EXPECT_EQ(bits(back.bypassShare), bits(r.bypassShare));
+    EXPECT_EQ(bits(back.fsqLoadShare), bits(r.fsqLoadShare));
+    EXPECT_EQ(back.loadsMarked, r.loadsMarked);
+    EXPECT_EQ(back.loadsReExecuted, r.loadsReExecuted);
+    EXPECT_EQ(back.loadsFilteredBySvw, r.loadsFilteredBySvw);
+    EXPECT_EQ(back.rexFlushes, r.rexFlushes);
+    EXPECT_EQ(back.branchSquashes, r.branchSquashes);
+    EXPECT_EQ(back.orderingSquashes, r.orderingSquashes);
+    EXPECT_EQ(back.wrapDrains, r.wrapDrains);
+    for (unsigned s = 0; s < prof::NumStages; ++s)
+        EXPECT_EQ(back.profStageNs[s], r.profStageNs[s]) << s;
+    EXPECT_EQ(back.profTicks, r.profTicks);
+    EXPECT_EQ(back.profCellNs, r.profCellNs);
+}
+
+} // namespace
+
 TEST(SweepSerialize, RunResultRoundTripsExactly)
 {
     RunResult r;
     r.workload = "perl.d";
-    r.config = "SSQ+SVW+UPD";
+    r.config = "SSQ+SVW+UPD \"q\" \\b";
     r.halted = true;
     r.goldenOk = false;
     r.cycles = 0xdeadbeefcafe;
     r.insts = 123456789;
     r.loads = 42;
-    r.stores = 7;
+    r.stores = std::numeric_limits<std::uint64_t>::max();
     r.ipc = 1.0 / 3.0;
     r.loadsMarked = 11;
     r.loadsReExecuted = 5;
@@ -86,30 +131,61 @@ TEST(SweepSerialize, RunResultRoundTripsExactly)
     r.orderingSquashes = 0;
     r.wrapDrains = 3;
 
-    RunResult back;
-    ASSERT_TRUE(runResultFromJson(runResultToJson(r), back));
-    EXPECT_EQ(back.workload, r.workload);
-    EXPECT_EQ(back.config, r.config);
-    EXPECT_EQ(back.halted, r.halted);
-    EXPECT_EQ(back.goldenOk, r.goldenOk);
-    EXPECT_EQ(back.cycles, r.cycles);
-    EXPECT_EQ(back.insts, r.insts);
-    EXPECT_EQ(back.loads, r.loads);
-    EXPECT_EQ(back.stores, r.stores);
-    // Exact bit equality, not near: the figure output depends on it.
-    EXPECT_EQ(back.ipc, r.ipc);
-    EXPECT_EQ(back.rexRate, r.rexRate);
-    EXPECT_EQ(back.markedRate, r.markedRate);
-    EXPECT_EQ(back.elimRate, r.elimRate);
-    EXPECT_EQ(back.bypassShare, r.bypassShare);
-    EXPECT_EQ(back.fsqLoadShare, r.fsqLoadShare);
-    EXPECT_EQ(back.loadsMarked, r.loadsMarked);
-    EXPECT_EQ(back.loadsReExecuted, r.loadsReExecuted);
-    EXPECT_EQ(back.loadsFilteredBySvw, r.loadsFilteredBySvw);
-    EXPECT_EQ(back.rexFlushes, r.rexFlushes);
-    EXPECT_EQ(back.branchSquashes, r.branchSquashes);
-    EXPECT_EQ(back.orderingSquashes, r.orderingSquashes);
-    EXPECT_EQ(back.wrapDrains, r.wrapDrains);
+    // A profiled result: the prof_* keys, the double edge cases and a
+    // synth name longer than the small-string buffer.
+    RunResult p;
+    p.workload = "synth:hashjoin:400927505";
+    p.config = "BASE";
+    p.cycles = std::numeric_limits<std::uint64_t>::max();
+    p.insts = 20'000;
+    p.ipc = -0.0;
+    p.rexRate = 5e-324;
+    p.markedRate = 1e21;
+    p.elimRate = 1e16;
+    p.bypassShare = 1e-5;
+    p.fsqLoadShare = 9007199254740994.0;  // 2^53 + 2
+    for (unsigned s = 0; s < prof::NumStages; ++s)
+        p.profStageNs[s] = 1000u * (s + 1);
+    p.profTicks = 31337;
+    p.profCellNs = 987654321012ull;
+
+    // The exact wire lines. Persisted cache entries and every client
+    // of sweepd and --emit-cells read these bytes, so any drift in the
+    // writer shows here, not only as a failed round trip.
+    EXPECT_EQ(runResultToJson(r),
+        "{\"workload\":\"perl.d\",\"config\":\"SSQ+SVW+UPD \\\"q\\\" \\\\b\","
+        "\"halted\":true,\"golden_ok\":false,\"cycles\":244837814094590,"
+        "\"insts\":123456789,\"loads\":42,\"stores\":18446744073709551615,"
+        "\"ipc\":0.33333333333333331,\"loads_marked\":11,"
+        "\"loads_reexecuted\":5,\"loads_filtered_by_svw\":6,"
+        "\"rex_flushes\":1,\"rex_rate\":0.2857142857142857,"
+        "\"marked_rate\":1.0000000000000001e-17,"
+        "\"elim_rate\":99.999999999999986,"
+        "\"bypass_share\":0.10000000000000001,"
+        "\"fsq_load_share\":123.45678901234568,\"branch_squashes\":100,"
+        "\"ordering_squashes\":0,\"wrap_drains\":3}");
+    EXPECT_EQ(runResultToJson(p),
+        "{\"workload\":\"synth:hashjoin:400927505\",\"config\":\"BASE\","
+        "\"halted\":false,\"golden_ok\":true,"
+        "\"cycles\":18446744073709551615,\"insts\":20000,\"loads\":0,"
+        "\"stores\":0,\"ipc\":-0,\"loads_marked\":0,"
+        "\"loads_reexecuted\":0,\"loads_filtered_by_svw\":0,"
+        "\"rex_flushes\":0,\"rex_rate\":4.9406564584124654e-324,"
+        "\"marked_rate\":1e+21,\"elim_rate\":10000000000000000,"
+        "\"bypass_share\":1.0000000000000001e-05,"
+        "\"fsq_load_share\":9007199254740994,\"branch_squashes\":0,"
+        "\"ordering_squashes\":0,\"wrap_drains\":0,"
+        "\"prof_commit_ns\":1000,\"prof_rex_ns\":2000,"
+        "\"prof_complete_ns\":3000,\"prof_wheel_advance_ns\":4000,"
+        "\"prof_issue_ns\":5000,\"prof_lsu_search_ns\":6000,"
+        "\"prof_dispatch_ns\":7000,\"prof_fetch_ns\":8000,"
+        "\"prof_ticks\":31337,\"prof_cell_ns\":987654321012}");
+
+    for (const RunResult *in : {&r, &p}) {
+        RunResult back;
+        ASSERT_TRUE(runResultFromJson(runResultToJson(*in), back));
+        expectSameResult(back, *in);
+    }
 }
 
 TEST(SweepSerialize, NonFiniteDoublesAreValidJsonAndRoundTrip)
@@ -145,6 +221,58 @@ TEST(SweepSerialize, NonFiniteDoublesAreValidJsonAndRoundTrip)
     RunResult junk;
     EXPECT_FALSE(
         runResultFromJson("{\"ipc\":\"NotANumberSpelledWrong\"}", junk));
+}
+
+TEST(SweepSerialize, JsonDoubleMatchesPrintfG17)
+{
+    // Every finite double prints exactly as printf's %.17g: persisted
+    // cache entries and every client's lines were written that way, so
+    // printf stays the oracle here whatever jsonDouble uses inside.
+    auto g17 = [](double v) {
+        char buf[40];
+        std::snprintf(buf, sizeof(buf), "%.17g", v);
+        return std::string(buf);
+    };
+    std::size_t checked = 0, bad = 0;
+    auto check = [&](double v) {
+        ++checked;
+        const std::string want = g17(v), got = jsonDouble(v);
+        if (got != want && ++bad <= 5)
+            ADD_FAILURE() << "jsonDouble gave " << got << ", %.17g " << want;
+    };
+
+    using L = std::numeric_limits<double>;
+    for (double v : {0.0, -0.0, L::denorm_min(), -L::denorm_min(),
+                     std::nextafter(L::min(), 0.0), L::min(), L::max(),
+                     -L::max(), 0x1p53 - 1, 0x1p53, 0x1p53 + 1, 0x1p53 + 2,
+                     0.1, 1e-5, 1e16, 1e17, 1e21, 1.0 / 3.0, 0.5, 100.0,
+                     -1.0}) {
+        check(v);
+    }
+    // Seeded random bit patterns cover every exponent; the non-finite
+    // ones are the string encoding's, checked below.
+    std::mt19937_64 rng(0x5eed17);
+    while (checked < 1'000'100) {
+        const std::uint64_t u = rng();
+        double v;
+        std::memcpy(&v, &u, sizeof(v));
+        if (std::isfinite(v))
+            check(v);
+    }
+    // Ratios and percentages, the values RunResult actually holds.
+    for (int i = 0; i < 100'000; ++i) {
+        const double a = double(rng() % 1'000'000);
+        const double b = double(rng() % 1'000'000 + 1);
+        check(a / b);
+        check(100.0 * a / b);
+    }
+    EXPECT_EQ(bad, 0u) << "of " << checked;
+    EXPECT_GE(checked, 1'000'000u);
+
+    EXPECT_EQ(jsonDouble(L::quiet_NaN()), "\"NaN\"");
+    EXPECT_EQ(jsonDouble(-L::quiet_NaN()), "\"NaN\"");
+    EXPECT_EQ(jsonDouble(L::infinity()), "\"Infinity\"");
+    EXPECT_EQ(jsonDouble(-L::infinity()), "\"-Infinity\"");
 }
 
 TEST(SweepProgramCache, BuildsEachProgramOnce)
