@@ -56,23 +56,24 @@ runCellCalls()
 }
 
 std::size_t
-MemoryResultCache::entryBytes(const Entry &e) const
+MemoryResultCache::entryBytes(const std::string &material, const Entry &e)
 {
-    // Footprint estimate, not an exact malloc accounting: the fixed
-    // Entry (RunResult is flat), the key material string, and a small
+    // Footprint estimate, not an exact malloc accounting: the key
+    // string and the fixed Entry (RunResult is flat), the buffers of
+    // the material and of the result's names by capacity (a synth
+    // workload name outgrows the small-string buffer), and a small
     // allowance for the map node + list node overhead.
-    return sizeof(Entry) + e.material.size() + 64;
+    return sizeof(std::string) + sizeof(Entry) + material.capacity() +
+           e.result.workload.capacity() + e.result.config.capacity() + 64;
 }
 
 bool
 MemoryResultCache::get(const CellKey &key, RunResult &out) const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = entries_.find(key.hash);
+    auto it = entries_.find(key.material);
     if (it == entries_.end())
         return false;
-    if (it->second.material != key.material)
-        return false;  // hash collision: never serve a wrong result
     out = it->second.result;
     lru_.splice(lru_.begin(), lru_, it->second.lru);  // refresh recency
     ++hits_;
@@ -86,11 +87,10 @@ MemoryResultCache::evictOverCapLocked()
     // result must be servable back, and a cap of "less than one
     // entry" should degrade to "cache of one", not "cache of none".
     while (maxBytes_ > 0 && bytes_ > maxBytes_ && entries_.size() > 1) {
-        const std::uint64_t victim = lru_.back();
-        auto it = entries_.find(victim);
+        auto it = entries_.find(*lru_.back());
         bytes_ -= it->second.bytes;
-        entries_.erase(it);
         lru_.pop_back();
+        entries_.erase(it);
         ++evictions_;
     }
 }
@@ -99,23 +99,18 @@ void
 MemoryResultCache::put(const CellKey &key, const RunResult &r)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = entries_.find(key.hash);
-    if (it != entries_.end()) {
-        bytes_ -= it->second.bytes;
-        it->second.material = key.material;
-        it->second.result = r;
-        it->second.bytes = entryBytes(it->second);
-        bytes_ += it->second.bytes;
-        lru_.splice(lru_.begin(), lru_, it->second.lru);
-    } else {
-        lru_.push_front(key.hash);
-        Entry &e = entries_[key.hash];
-        e.material = key.material;
-        e.result = r;
+    auto [it, inserted] = entries_.try_emplace(key.material);
+    Entry &e = it->second;
+    if (inserted) {
+        lru_.push_front(&it->first);
         e.lru = lru_.begin();
-        e.bytes = entryBytes(e);
-        bytes_ += e.bytes;
+    } else {
+        bytes_ -= e.bytes;
+        lru_.splice(lru_.begin(), lru_, e.lru);
     }
+    e.result = r;
+    e.bytes = entryBytes(it->first, e);
+    bytes_ += e.bytes;
     evictOverCapLocked();
 }
 

@@ -166,9 +166,9 @@ ProgramCache &processProgramCache();
 
 /**
  * In-memory front of the persistent ResultCache (harness/sweep.hh):
- * a hash map keyed exactly like the on-disk store (CellKey hash,
- * verified against the full key material so a collision degrades to a
- * miss, never a wrong hit). runSweep probes it before the disk store,
+ * a hash map keyed by the full CellKey material, so a hit is exact by
+ * the map's own equality and a probe never computes the disk store's
+ * FNV-1a file hash. runSweep probes it before the disk store,
  * so within one process a warm hit never touches the filesystem, and
  * every disk hit or fresh result is promoted so the *next* sweep in
  * this process (bench binaries run several; sweepd runs thousands) is
@@ -191,8 +191,8 @@ ProgramCache &processProgramCache();
 class MemoryResultCache
 {
   public:
-    /** @return true and fill @p out on a verified hit (refreshes the
-     * entry's LRU recency). */
+    /** @return true and fill @p out when @p key's material is cached
+     * (refreshes the entry's LRU recency). */
     bool get(const CellKey &key, RunResult &out) const;
 
     /** Insert or overwrite @p key's entry, then LRU-evict down to the
@@ -202,7 +202,7 @@ class MemoryResultCache
     std::size_t entries() const;
     /** Estimated resident bytes of all entries. */
     std::size_t bytes() const;
-    /** Served (verified) hits since process start / clear(). */
+    /** Served hits since process start / clear(). */
     std::uint64_t hits() const;
     /** Entries LRU-evicted since process start / clear(). */
     std::uint64_t evictions() const;
@@ -214,21 +214,26 @@ class MemoryResultCache
     void clear();
 
   private:
+    /** Points at a map key: element addresses survive rehashing, so
+     * the LRU list names each material without copying it. */
+    using Lru = std::list<const std::string *>;
+
     struct Entry
     {
-        std::string material;
         RunResult result;
-        std::list<std::uint64_t>::iterator lru; ///< slot in lru_
+        Lru::iterator lru; ///< slot in lru_
         std::size_t bytes = 0;
     };
 
-    std::size_t entryBytes(const Entry &e) const;
+    static std::size_t entryBytes(const std::string &material,
+                                  const Entry &e);
     void evictOverCapLocked();
 
     mutable std::mutex mutex_;
-    std::unordered_map<std::uint64_t, Entry> entries_;
-    /** Key hashes, most recently used first. */
-    mutable std::list<std::uint64_t> lru_;
+    /** Key material -> entry; each material is stored once, here. */
+    std::unordered_map<std::string, Entry> entries_;
+    /** Map keys, most recently used first. */
+    mutable Lru lru_;
     std::size_t bytes_ = 0;
     std::uint64_t maxBytes_ = memoryResultCacheDefaultMaxBytes;
     mutable std::uint64_t hits_ = 0;

@@ -1,20 +1,27 @@
 #include "harness/serialize.hh"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
-#include <sstream>
 
 namespace svw::harness {
 
-std::string
-jsonEscape(const std::string &s)
+namespace {
+
+void
+appendU64(std::string &out, std::uint64_t v)
 {
-    std::string out;
-    out.reserve(s.size());
+    char buf[20];
+    out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
+
+void
+appendEscaped(std::string &out, const std::string &s)
+{
+    static constexpr char hex[] = "0123456789abcdef";
     for (char c : s) {
         switch (c) {
           case '"':  out += "\\\""; break;
@@ -24,71 +31,117 @@ jsonEscape(const std::string &s)
           case '\r': out += "\\r"; break;
           default:
             if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
+                out += "\\u00";
+                out += hex[c >> 4];
+                out += hex[c & 0xf];
             } else {
                 out += c;
             }
         }
     }
-    return out;
 }
 
-std::string
-jsonDouble(double v)
+void
+appendDouble(std::string &out, double v)
 {
     // Non-finite doubles as distinguished strings: %.17g would emit
     // bare nan/inf tokens, which are not JSON, and the result cache
     // persists these lines for external tools to read.
-    if (std::isnan(v))
-        return "\"NaN\"";
-    if (std::isinf(v))
-        return v > 0 ? "\"Infinity\"" : "\"-Infinity\"";
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
+    if (std::isnan(v)) {
+        out += "\"NaN\"";
+        return;
+    }
+    if (std::isinf(v)) {
+        out += v > 0 ? "\"Infinity\"" : "\"-Infinity\"";
+        return;
+    }
+    // General format at precision 17 is defined as printf's %.17g.
+    char buf[32];
+    out.append(buf, std::to_chars(buf, buf + sizeof(buf), v,
+                                  std::chars_format::general, 17)
+                        .ptr);
 }
 
-std::string
-runResultToJson(const RunResult &r)
+void
+appendRunResult(std::string &out, const RunResult &r)
 {
-    std::ostringstream os;
-    os << "{\"workload\":\"" << jsonEscape(r.workload) << "\""
-       << ",\"config\":\"" << jsonEscape(r.config) << "\""
-       << ",\"halted\":" << (r.halted ? "true" : "false")
-       << ",\"golden_ok\":" << (r.goldenOk ? "true" : "false")
-       << ",\"cycles\":" << r.cycles
-       << ",\"insts\":" << r.insts
-       << ",\"loads\":" << r.loads
-       << ",\"stores\":" << r.stores
-       << ",\"ipc\":" << jsonDouble(r.ipc)
-       << ",\"loads_marked\":" << r.loadsMarked
-       << ",\"loads_reexecuted\":" << r.loadsReExecuted
-       << ",\"loads_filtered_by_svw\":" << r.loadsFilteredBySvw
-       << ",\"rex_flushes\":" << r.rexFlushes
-       << ",\"rex_rate\":" << jsonDouble(r.rexRate)
-       << ",\"marked_rate\":" << jsonDouble(r.markedRate)
-       << ",\"elim_rate\":" << jsonDouble(r.elimRate)
-       << ",\"bypass_share\":" << jsonDouble(r.bypassShare)
-       << ",\"fsq_load_share\":" << jsonDouble(r.fsqLoadShare)
-       << ",\"branch_squashes\":" << r.branchSquashes
-       << ",\"ordering_squashes\":" << r.orderingSquashes
-       << ",\"wrap_drains\":" << r.wrapDrains;
+    auto u64 = [&out](const char *key, std::uint64_t v) {
+        out += key;
+        appendU64(out, v);
+    };
+    auto dbl = [&out](const char *key, double v) {
+        out += key;
+        appendDouble(out, v);
+    };
+    out += "{\"workload\":\"";
+    appendEscaped(out, r.workload);
+    out += "\",\"config\":\"";
+    appendEscaped(out, r.config);
+    out += r.halted ? "\",\"halted\":true" : "\",\"halted\":false";
+    out += r.goldenOk ? ",\"golden_ok\":true" : ",\"golden_ok\":false";
+    u64(",\"cycles\":", r.cycles);
+    u64(",\"insts\":", r.insts);
+    u64(",\"loads\":", r.loads);
+    u64(",\"stores\":", r.stores);
+    dbl(",\"ipc\":", r.ipc);
+    u64(",\"loads_marked\":", r.loadsMarked);
+    u64(",\"loads_reexecuted\":", r.loadsReExecuted);
+    u64(",\"loads_filtered_by_svw\":", r.loadsFilteredBySvw);
+    u64(",\"rex_flushes\":", r.rexFlushes);
+    dbl(",\"rex_rate\":", r.rexRate);
+    dbl(",\"marked_rate\":", r.markedRate);
+    dbl(",\"elim_rate\":", r.elimRate);
+    dbl(",\"bypass_share\":", r.bypassShare);
+    dbl(",\"fsq_load_share\":", r.fsqLoadShare);
+    u64(",\"branch_squashes\":", r.branchSquashes);
+    u64(",\"ordering_squashes\":", r.orderingSquashes);
+    u64(",\"wrap_drains\":", r.wrapDrains);
     // Profile attribution keys ("prof_<stage>_ns") are emitted only
     // for profiled runs: profiled results never enter the result
     // cache, and unprofiled lines stay byte-identical to the pre-
     // profiler wire format.
     if (r.profTicks) {
         for (unsigned s = 0; s < prof::NumStages; ++s) {
-            os << ",\"prof_" << prof::stageName(prof::Stage(s))
-               << "_ns\":" << r.profStageNs[s];
+            out += ",\"prof_";
+            out += prof::stageName(prof::Stage(s));
+            out += "_ns\":";
+            appendU64(out, r.profStageNs[s]);
         }
-        os << ",\"prof_ticks\":" << r.profTicks
-           << ",\"prof_cell_ns\":" << r.profCellNs;
+        u64(",\"prof_ticks\":", r.profTicks);
+        u64(",\"prof_cell_ns\":", r.profCellNs);
     }
-    os << "}";
-    return os.str();
+    out += '}';
+}
+
+/** Room for a plain result line with long names: one allocation. */
+constexpr std::size_t resultLineReserve = 512;
+
+} // namespace
+
+std::string
+jsonEscape(const std::string &s)
+{
+    std::string out;
+    out.reserve(s.size());
+    appendEscaped(out, s);
+    return out;
+}
+
+std::string
+jsonDouble(double v)
+{
+    std::string out;
+    appendDouble(out, v);
+    return out;
+}
+
+std::string
+runResultToJson(const RunResult &r)
+{
+    std::string out;
+    out.reserve(resultLineReserve);
+    appendRunResult(out, r);
+    return out;
 }
 
 namespace {
@@ -354,7 +407,7 @@ runResultFromJson(const std::string &json, RunResult &out)
 // list would let two different machines share one cache entry. The
 // size checks cannot prove the lists are complete, but they force a
 // human through this file whenever either struct changes shape —
-// update coreParamsKeyText (and, for RunResult, the JSON
+// update appendCoreParamsKeyText (and, for RunResult, the JSON
 // writer/parser: parseValueInto tolerates missing keys, so an
 // unlisted new metric would re-parse from old cache entries as its
 // default) AND bump resultCacheCodeVersion (harness/sweep.hh) if the
@@ -363,92 +416,103 @@ runResultFromJson(const std::string &json, RunResult &out)
 // builds over std::string layout.
 #if defined(__GLIBCXX__) && defined(__x86_64__)
 static_assert(sizeof(CoreParams) == 280,
-              "CoreParams changed: revisit coreParamsKeyText and the "
+              "CoreParams changed: revisit appendCoreParamsKeyText and the "
               "result-cache code version");
 static_assert(sizeof(RunResult) == 288,
               "RunResult changed: update the JSON writer/parser and "
               "bump the result-cache code version");
 #endif
 
-std::string
-coreParamsKeyText(const CoreParams &p)
+void
+appendCoreParamsKeyText(std::string &out, const CoreParams &p)
 {
-    std::ostringstream os;
-    auto cache = [&os](const char *name, const CacheParams &c) {
-        os << '|' << name << '=' << c.sizeBytes << '/' << c.assoc << '/'
-           << c.lineBytes << '/' << c.latency;
+    // Every knob prints as a decimal; bools as 0/1.
+    auto kv = [&out](const char *name, std::uint64_t v) {
+        out += name;
+        appendU64(out, v);
     };
-    os << "fetchWidth=" << p.fetchWidth
-       << "|dispatchWidth=" << p.dispatchWidth
-       << "|issueWidth=" << p.issueWidth
-       << "|commitWidth=" << p.commitWidth
-       << "|intIssue=" << p.intIssue
-       << "|loadIssue=" << p.loadIssue
-       << "|branchIssue=" << p.branchIssue
-       << "|robEntries=" << p.robEntries
-       << "|iqEntries=" << p.iqEntries
-       << "|numPhysRegs=" << p.numPhysRegs
-       << "|renameCheckpoints=" << p.renameCheckpoints
-       << "|frontendDepth=" << p.frontendDepth
-       << "|mispredictRedirect=" << p.mispredictRedirect
-       << "|rexTransit=" << p.rexTransit
-       << "|dcachePorts=" << p.dcachePorts
-       << "|bpred.hybridEntries=" << p.bpred.hybridEntries
-       << "|bpred.btbEntries=" << p.bpred.btbEntries
-       << "|bpred.btbAssoc=" << p.bpred.btbAssoc
-       << "|bpred.rasEntries=" << p.bpred.rasEntries;
-    cache("mem.l1i", p.mem.l1i);
-    cache("mem.l1d", p.mem.l1d);
-    cache("mem.l2", p.mem.l2);
-    os << "|mem.memLatency=" << p.mem.memLatency
-       << "|mem.l2BusCyclesPerLine=" << p.mem.l2BusCyclesPerLine
-       << "|mem.memBusCyclesPerLine=" << p.mem.memBusCyclesPerLine
-       << "|mem.l1dBanks=" << p.mem.l1dBanks
-       << "|lsu.lqEntries=" << p.lsu.lqEntries
-       << "|lsu.sqEntries=" << p.lsu.sqEntries
-       << "|lsu.nlq=" << p.lsu.nlq
-       << "|lsu.ssq=" << p.lsu.ssq
-       << "|lsu.fsqEntries=" << p.lsu.fsqEntries
-       << "|lsu.fsqPorts=" << p.lsu.fsqPorts
-       << "|lsu.fwdBufEntriesPerBank=" << p.lsu.fwdBufEntriesPerBank
-       << "|lsu.loadExtraLatency=" << p.lsu.loadExtraLatency
-       << "|lsu.lqValueCheck=" << p.lsu.lqValueCheck
-       << "|lsu.storeIssueWidth=" << p.lsu.storeIssueWidth
-       << "|lsu.steeringEntries=" << p.lsu.steeringEntries
-       << "|svw.enabled=" << p.svw.enabled
-       << "|svw.updateOnForward=" << p.svw.updateOnForward
-       << "|svw.ssnBits=" << p.svw.ssnBits
-       << "|svw.ssbf.entries=" << p.svw.ssbf.entries
-       << "|svw.ssbf.granularityBytes=" << p.svw.ssbf.granularityBytes
-       << "|svw.ssbf.dualHash=" << p.svw.ssbf.dualHash
-       << "|svw.ssbf.infinite=" << p.svw.ssbf.infinite
-       << "|svw.speculativeSsbfUpdate=" << p.svw.speculativeSsbfUpdate
-       << "|rex.enabled=" << p.rex.enabled
-       << "|rex.perfect=" << p.rex.perfect
-       << "|rex.width=" << p.rex.width
-       << "|rex.storeBufferEntries=" << p.rex.storeBufferEntries
-       << "|rex.cacheLatency=" << p.rex.cacheLatency
-       << "|rex.regfileReadLatency=" << p.rex.regfileReadLatency
-       << "|rex.svwReplacesReExecution=" << p.rex.svwReplacesReExecution
-       << "|rle.enabled=" << p.rle.enabled
-       << "|rle.itEntries=" << p.rle.itEntries
-       << "|rle.itAssoc=" << p.rle.itAssoc
-       << "|rle.squashReuse=" << p.rle.squashReuse
-       << "|rle.integrateAlu=" << p.rle.integrateAlu
-       << "|rle.maxPinnedRegs=" << p.rle.maxPinnedRegs
-       << "|nlqsm=" << p.nlqsm;
-    return os.str();
+    auto cache = [&out](const char *name, const CacheParams &c) {
+        out += name;
+        appendU64(out, c.sizeBytes);
+        out += '/';
+        appendU64(out, c.assoc);
+        out += '/';
+        appendU64(out, c.lineBytes);
+        out += '/';
+        appendU64(out, c.latency);
+    };
+    kv("fetchWidth=", p.fetchWidth);
+    kv("|dispatchWidth=", p.dispatchWidth);
+    kv("|issueWidth=", p.issueWidth);
+    kv("|commitWidth=", p.commitWidth);
+    kv("|intIssue=", p.intIssue);
+    kv("|loadIssue=", p.loadIssue);
+    kv("|branchIssue=", p.branchIssue);
+    kv("|robEntries=", p.robEntries);
+    kv("|iqEntries=", p.iqEntries);
+    kv("|numPhysRegs=", p.numPhysRegs);
+    kv("|renameCheckpoints=", p.renameCheckpoints);
+    kv("|frontendDepth=", p.frontendDepth);
+    kv("|mispredictRedirect=", p.mispredictRedirect);
+    kv("|rexTransit=", p.rexTransit);
+    kv("|dcachePorts=", p.dcachePorts);
+    kv("|bpred.hybridEntries=", p.bpred.hybridEntries);
+    kv("|bpred.btbEntries=", p.bpred.btbEntries);
+    kv("|bpred.btbAssoc=", p.bpred.btbAssoc);
+    kv("|bpred.rasEntries=", p.bpred.rasEntries);
+    cache("|mem.l1i=", p.mem.l1i);
+    cache("|mem.l1d=", p.mem.l1d);
+    cache("|mem.l2=", p.mem.l2);
+    kv("|mem.memLatency=", p.mem.memLatency);
+    kv("|mem.l2BusCyclesPerLine=", p.mem.l2BusCyclesPerLine);
+    kv("|mem.memBusCyclesPerLine=", p.mem.memBusCyclesPerLine);
+    kv("|mem.l1dBanks=", p.mem.l1dBanks);
+    kv("|lsu.lqEntries=", p.lsu.lqEntries);
+    kv("|lsu.sqEntries=", p.lsu.sqEntries);
+    kv("|lsu.nlq=", p.lsu.nlq);
+    kv("|lsu.ssq=", p.lsu.ssq);
+    kv("|lsu.fsqEntries=", p.lsu.fsqEntries);
+    kv("|lsu.fsqPorts=", p.lsu.fsqPorts);
+    kv("|lsu.fwdBufEntriesPerBank=", p.lsu.fwdBufEntriesPerBank);
+    kv("|lsu.loadExtraLatency=", p.lsu.loadExtraLatency);
+    kv("|lsu.lqValueCheck=", p.lsu.lqValueCheck);
+    kv("|lsu.storeIssueWidth=", p.lsu.storeIssueWidth);
+    kv("|lsu.steeringEntries=", p.lsu.steeringEntries);
+    kv("|svw.enabled=", p.svw.enabled);
+    kv("|svw.updateOnForward=", p.svw.updateOnForward);
+    kv("|svw.ssnBits=", p.svw.ssnBits);
+    kv("|svw.ssbf.entries=", p.svw.ssbf.entries);
+    kv("|svw.ssbf.granularityBytes=", p.svw.ssbf.granularityBytes);
+    kv("|svw.ssbf.dualHash=", p.svw.ssbf.dualHash);
+    kv("|svw.ssbf.infinite=", p.svw.ssbf.infinite);
+    kv("|svw.speculativeSsbfUpdate=", p.svw.speculativeSsbfUpdate);
+    kv("|rex.enabled=", p.rex.enabled);
+    kv("|rex.perfect=", p.rex.perfect);
+    kv("|rex.width=", p.rex.width);
+    kv("|rex.storeBufferEntries=", p.rex.storeBufferEntries);
+    kv("|rex.cacheLatency=", p.rex.cacheLatency);
+    kv("|rex.regfileReadLatency=", p.rex.regfileReadLatency);
+    kv("|rex.svwReplacesReExecution=", p.rex.svwReplacesReExecution);
+    kv("|rle.enabled=", p.rle.enabled);
+    kv("|rle.itEntries=", p.rle.itEntries);
+    kv("|rle.itAssoc=", p.rle.itAssoc);
+    kv("|rle.squashReuse=", p.rle.squashReuse);
+    kv("|rle.integrateAlu=", p.rle.integrateAlu);
+    kv("|rle.maxPinnedRegs=", p.rle.maxPinnedRegs);
+    kv("|nlqsm=", p.nlqsm);
 }
 
 std::string
 cacheEntryToLine(const std::string &material, const RunResult &r)
 {
-    std::ostringstream os;
-    os << "{\"v\":1"
-       << ",\"material\":\"" << jsonEscape(material) << "\""
-       << ",\"result\":" << runResultToJson(r)
-       << "}\n";
-    return os.str();
+    std::string out;
+    out.reserve(material.size() + resultLineReserve);
+    out += "{\"v\":1,\"material\":\"";
+    appendEscaped(out, material);
+    out += "\",\"result\":";
+    appendRunResult(out, r);
+    out += "}\n";
+    return out;
 }
 
 bool

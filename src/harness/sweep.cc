@@ -1,11 +1,11 @@
 #include "harness/sweep.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include <unistd.h>
 
@@ -136,19 +136,34 @@ SweepResults::failures() const
 // Persistent result cache
 // ---------------------------------------------------------------------------
 
+std::uint64_t
+CellKey::hash() const
+{
+    // FNV-1a 64.
+    std::uint64_t h = 14695981039346656037ull;
+    for (unsigned char ch : material) {
+        h ^= ch;
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
 std::string
 CellKey::fileName() const
 {
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%016llx.json",
-                  static_cast<unsigned long long>(hash));
+                  static_cast<unsigned long long>(hash()));
     return buf;
 }
 
 CellKey
 cellKey(const SweepCell &cell)
 {
-    std::ostringstream os;
+    CellKey key;
+    std::string &m = key.material;
+    // A figure cell's material is about 1.15 KB: one allocation.
+    m.reserve(1536);
     // The config *label* is keyed alongside the expanded CoreParams:
     // the cached RunResult embeds it, and two ExperimentConfigs can
     // normalize to identical machine knobs while labeling differently
@@ -156,26 +171,24 @@ cellKey(const SweepCell &cell)
     // serve a result stamped with the other experiment's name.
     // Intentional cross-figure sharing is unaffected: identical
     // ExperimentConfigs have identical labels.
-    os << "version=" << resultCacheCodeVersion
-       << "|workload=" << cell.workload
-       << "|insts=" << cell.targetInsts
-       << "|golden=" << (cell.goldenCheck ? 1 : 0)
-       << "|label=" << configLabel(cell.config)
-       << '|' << coreParamsKeyText(buildParams(cell.config))
-       // Content identity for workloads whose name is not a complete
-       // recipe (trace files); empty for every other workload, so
-       // existing cache entries stay valid.
-       << workloads::cacheKeyAugment(cell.workload);
-
-    CellKey key;
-    key.material = os.str();
-    // FNV-1a 64.
-    std::uint64_t h = 14695981039346656037ull;
-    for (unsigned char ch : key.material) {
-        h ^= ch;
-        h *= 1099511628211ull;
-    }
-    key.hash = h;
+    m += "version=";
+    m += resultCacheCodeVersion;
+    m += "|workload=";
+    m += cell.workload;
+    m += "|insts=";
+    char insts[20];
+    m.append(insts,
+             std::to_chars(insts, insts + sizeof(insts), cell.targetInsts)
+                 .ptr);
+    m += cell.goldenCheck ? "|golden=1" : "|golden=0";
+    m += "|label=";
+    m += configLabel(cell.config);
+    m += '|';
+    appendCoreParamsKeyText(m, buildParams(cell.config));
+    // Content identity for workloads whose name is not a complete
+    // recipe (trace files); empty for every other workload, so
+    // existing cache entries stay valid.
+    m += workloads::cacheKeyAugment(cell.workload);
     return key;
 }
 

@@ -112,7 +112,7 @@ struct CellOutcome
 /**
  * Code-version stamp baked into every cache key. The key material
  * already covers every CoreParams knob (serialize.hh
- * coreParamsKeyText), so parameter changes self-invalidate; bump this
+ * appendCoreParamsKeyText), so parameter changes self-invalidate; bump this
  * stamp for changes that alter simulated timing or metrics *without*
  * touching any parameter — a new scheduling rule, a bug fix in the
  * core, a workload-generator change. Stale entries are never deleted,
@@ -121,21 +121,24 @@ struct CellOutcome
 inline constexpr const char *resultCacheCodeVersion = "svw-sim-2";
 
 /**
- * Content-addressed identity of a cell's RunResult: a 64-bit FNV-1a
- * hash over the human-readable key material
- * (version | workload | insts | goldenCheck | full CoreParams text).
- * The material rides along so stores can embed it and lookups can
- * verify it — a hash collision degrades to a miss, never a wrong hit.
+ * Content-addressed identity of a cell's RunResult: the human-readable
+ * key material (version | workload | insts | goldenCheck | config
+ * label | full CoreParams text). The in-memory front is keyed by the
+ * material itself, so its hits are exact by construction. The disk
+ * store names each entry file by a 64-bit FNV-1a hash of the material
+ * and embeds the material in the file, so a lookup verifies it — a
+ * hash collision degrades to a miss, never a wrong hit.
  * Group/label/baseline naming is deliberately NOT part of the key:
  * identical (workload, insts, config) cells share one entry across
  * figures.
  */
 struct CellKey
 {
-    std::uint64_t hash = 0;
     std::string material;
 
-    /** Cache file name: 16 hex digits + ".json". */
+    /** FNV-1a 64 of the material; only the disk store needs it. */
+    std::uint64_t hash() const;
+    /** Cache file name: hash() as 16 hex digits + ".json". */
     std::string fileName() const;
 };
 

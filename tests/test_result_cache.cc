@@ -93,7 +93,7 @@ TEST(CellKey, StableAndNameIndependent)
 {
     SweepCell a = makeCell("g", "l", "gzip", 5'000);
     const CellKey k = cellKey(a);
-    EXPECT_EQ(cellKey(a).hash, k.hash);
+    EXPECT_EQ(cellKey(a).hash(), k.hash());
     EXPECT_EQ(cellKey(a).material, k.material);
     EXPECT_EQ(k.fileName().size(), 16u + 5u);
 
@@ -103,7 +103,7 @@ TEST(CellKey, StableAndNameIndependent)
     renamed.group = "other";
     renamed.label = "column";
     renamed.baseline = true;
-    EXPECT_EQ(cellKey(renamed).hash, k.hash);
+    EXPECT_EQ(cellKey(renamed).hash(), k.hash());
     EXPECT_EQ(cellKey(renamed).material, k.material);
 
     // The material embeds the code-version stamp and every knob.
@@ -178,7 +178,7 @@ TEST(CellKey, EverySimulationInputChangesTheKey)
     auto differs = [&k0](SweepCell c, const char *what) {
         const CellKey k = cellKey(c);
         EXPECT_NE(k.material, k0.material) << what;
-        EXPECT_NE(k.hash, k0.hash) << what;
+        EXPECT_NE(k.hash(), k0.hash()) << what;
     };
 
     {
@@ -271,12 +271,12 @@ TEST(CellKey, SynthRecipeIsIdentity)
         c.workload = workload;
         return cellKey(c);
     };
-    EXPECT_NE(keyFor("synth:hashjoin:8").hash, k0.hash) << "seed";
-    EXPECT_NE(keyFor("synth:chase:7").hash, k0.hash) << "kind";
-    EXPECT_NE(keyFor("synth:hashjoin:7:buckets=128").hash, k0.hash)
+    EXPECT_NE(keyFor("synth:hashjoin:8").hash(), k0.hash()) << "seed";
+    EXPECT_NE(keyFor("synth:chase:7").hash(), k0.hash()) << "kind";
+    EXPECT_NE(keyFor("synth:hashjoin:7:buckets=128").hash(), k0.hash())
         << "param override";
-    EXPECT_NE(keyFor("synth:hashjoin:7:buckets=128").hash,
-              keyFor("synth:hashjoin:7:buckets=64").hash)
+    EXPECT_NE(keyFor("synth:hashjoin:7:buckets=128").hash(),
+              keyFor("synth:hashjoin:7:buckets=64").hash())
         << "param value";
 
     // Cells carry the workload name verbatim, so the canonical recipe
@@ -303,19 +303,19 @@ TEST(CellKey, TraceWorkloadKeyTracksFileContent)
     writeTrace("gzip", 2'000);
     SweepCell cell = makeCell("g", "l", "trace:" + path, 2'000);
     const CellKey k0 = cellKey(cell);
-    EXPECT_EQ(cellKey(cell).hash, k0.hash) << "stable while untouched";
+    EXPECT_EQ(cellKey(cell).hash(), k0.hash()) << "stable while untouched";
     EXPECT_NE(k0.material.find("trace.payload="), std::string::npos)
         << k0.material;
 
     writeTrace("gzip", 4'000);  // same path, different recording
     const CellKey k1 = cellKey(cell);
-    EXPECT_NE(k1.hash, k0.hash);
+    EXPECT_NE(k1.hash(), k0.hash());
     EXPECT_NE(k1.material, k0.material);
 
     writeTrace("mcf", 2'000);  // different source kernel entirely
     const CellKey k2 = cellKey(cell);
-    EXPECT_NE(k2.hash, k0.hash);
-    EXPECT_NE(k2.hash, k1.hash);
+    EXPECT_NE(k2.hash(), k0.hash());
+    EXPECT_NE(k2.hash(), k1.hash());
 }
 
 TEST(CellKey, Cacheability)

@@ -295,7 +295,6 @@ TEST(MemoryResultCacheLru, EvictsOldestFirstAndKeepsNewest)
     auto key = [](const std::string &mat) {
         CellKey k;
         k.material = mat;
-        k.hash = std::hash<std::string>{}(mat);
         return k;
     };
 
@@ -322,10 +321,12 @@ TEST(MemoryResultCacheLru, EvictsOldestFirstAndKeepsNewest)
     EXPECT_EQ(cache.entries(), 1u);
     EXPECT_TRUE(cache.get(key("d"), out));
 
-    // Hash collisions with different material never serve wrongly.
-    CellKey collide = key("e");
-    cache.put(collide, r);
-    CellKey other = collide;
+    // A different material is never served, however close.
+    CellKey stored = key("e");
+    cache.put(stored, r);
+    CellKey other = stored;
     other.material = "different";
+    EXPECT_FALSE(cache.get(other, out));
+    other.material = "e ";
     EXPECT_FALSE(cache.get(other, out));
 }
