@@ -7,6 +7,7 @@
 #ifndef SVW_HARNESS_CONFIG_HH
 #define SVW_HARNESS_CONFIG_HH
 
+#include <compare>
 #include <string>
 
 #include "cpu/core.hh"
@@ -59,6 +60,12 @@ struct ExperimentConfig
     /** Ablation: value-aware LQ search ignores silent-store violations
      * (section 2.2's "if the LQ contains values" remark). */
     bool lqValueCheck = false;
+
+    /** Memberwise order: the result cache interns each config's key
+     * text in a map keyed by the whole config (harness/sweep.cc), so
+     * a field added here joins that key with no hand-written
+     * comparison. */
+    auto operator<=>(const ExperimentConfig &) const = default;
 };
 
 /** Human-readable label ("NLQ+SVW+UPD" etc.). */

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <utility>
 
+#include "harness/serialize.hh"
 #include "prog/workloads/workloads.hh"
 
 namespace svw::harness {
@@ -56,28 +57,53 @@ runCellCalls()
 }
 
 std::size_t
-MemoryResultCache::entryBytes(const std::string &material, const Entry &e)
+MemoryResultCache::entryBytes(const CellKey &key, const Entry &e)
 {
-    // Footprint estimate, not an exact malloc accounting: the key
-    // string and the fixed Entry (RunResult is flat), the buffers of
-    // the material and of the result's names by capacity (a synth
-    // workload name outgrows the small-string buffer), and a small
-    // allowance for the map node + list node overhead.
-    return sizeof(std::string) + sizeof(Entry) + material.capacity() +
-           e.result.workload.capacity() + e.result.config.capacity() + 64;
+    // Footprint estimate, not an exact malloc accounting: the fixed
+    // key and Entry (RunResult is flat), every string buffer the entry
+    // owns by capacity (a synth workload name outgrows the
+    // small-string buffer; the result line is about 0.4 KB), and a
+    // small allowance for the map node + list node overhead. The
+    // interned config text the key points at is shared by every entry
+    // of its config and is not charged: the intern table sits outside
+    // this budget, bounded by the configs the figure builders define.
+    return sizeof(CellKey) + sizeof(Entry) + key.workload.capacity() +
+           key.augment.capacity() + e.result.workload.capacity() +
+           e.result.config.capacity() + e.line.capacity() + 64;
+}
+
+const MemoryResultCache::Entry *
+MemoryResultCache::hitLocked(const CellKey &key) const
+{
+    auto it = entries_.find(key);
+    if (it == entries_.end())
+        return nullptr;
+    lru_.splice(lru_.begin(), lru_, it->second.lru);  // refresh recency
+    ++hits_;
+    return &it->second;
 }
 
 bool
 MemoryResultCache::get(const CellKey &key, RunResult &out) const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = entries_.find(key.material);
-    if (it == entries_.end())
-        return false;
-    out = it->second.result;
-    lru_.splice(lru_.begin(), lru_, it->second.lru);  // refresh recency
-    ++hits_;
-    return true;
+    const Entry *e = hitLocked(key);
+    if (e)
+        out = e->result;
+    return e;
+}
+
+bool
+MemoryResultCache::get(const CellKey &key, RunResult &out,
+                       std::string &line) const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    const Entry *e = hitLocked(key);
+    if (e) {
+        out = e->result;
+        line = e->line;
+    }
+    return e;
 }
 
 void
@@ -98,8 +124,15 @@ MemoryResultCache::evictOverCapLocked()
 void
 MemoryResultCache::put(const CellKey &key, const RunResult &r)
 {
+    put(key, r, runResultToJson(r));
+}
+
+void
+MemoryResultCache::put(const CellKey &key, const RunResult &r,
+                       std::string line)
+{
     std::lock_guard<std::mutex> lock(mutex_);
-    auto [it, inserted] = entries_.try_emplace(key.material);
+    auto [it, inserted] = entries_.try_emplace(key);
     Entry &e = it->second;
     if (inserted) {
         lru_.push_front(&it->first);
@@ -109,6 +142,7 @@ MemoryResultCache::put(const CellKey &key, const RunResult &r)
         lru_.splice(lru_.begin(), lru_, e.lru);
     }
     e.result = r;
+    e.line = std::move(line);
     e.bytes = entryBytes(it->first, e);
     bytes_ += e.bytes;
     evictOverCapLocked();

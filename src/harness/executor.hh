@@ -166,15 +166,19 @@ ProgramCache &processProgramCache();
 
 /**
  * In-memory front of the persistent ResultCache (harness/sweep.hh):
- * a hash map keyed by the full CellKey material, so a hit is exact by
- * the map's own equality and a probe never computes the disk store's
- * FNV-1a file hash. runSweep probes it before the disk store,
+ * a hash map keyed by CellKey's parts — the interned config text
+ * (compared by address), workload, insts, golden flag and augment —
+ * so a probe hashes a workload name and a pointer, never the 1.15-KB
+ * key material, and a hit is exact by the key's own equality. Each
+ * entry stores its RunResult and that result's runResultToJson line,
+ * so a warm hit copies the line instead of rendering it.
+ * runSweep probes it before the disk store,
  * so within one process a warm hit never touches the filesystem, and
  * every disk hit or fresh result is promoted so the *next* sweep in
  * this process (bench binaries run several; sweepd runs thousands) is
  * served from memory. Entries are valid independent of which
  * --cache-dir they came from: a cell's RunResult is a pure function
- * of its key material, which already embeds the code-version stamp.
+ * of its key, which already embeds the code-version stamp.
  * Only consulted when a sweep runs with a cacheDir or opts into the
  * memory front (SweepOptions::memCache) — caching stays opt-in.
  * Thread-safe (one mutex; probes happen on the driving thread, so
@@ -191,13 +195,21 @@ ProgramCache &processProgramCache();
 class MemoryResultCache
 {
   public:
-    /** @return true and fill @p out when @p key's material is cached
-     * (refreshes the entry's LRU recency). */
+    /** @return true and fill @p out when @p key is cached (refreshes
+     * the entry's LRU recency). */
     bool get(const CellKey &key, RunResult &out) const;
 
+    /** get(), also copying the entry's stored result line — exactly
+     * runResultToJson(out) — into @p line. */
+    bool get(const CellKey &key, RunResult &out, std::string &line) const;
+
     /** Insert or overwrite @p key's entry, then LRU-evict down to the
-     * byte cap. */
+     * byte cap. Renders the entry's result line. */
     void put(const CellKey &key, const RunResult &r);
+
+    /** put() with the line already rendered: @p line must be
+     * runResultToJson(@p r). */
+    void put(const CellKey &key, const RunResult &r, std::string line);
 
     std::size_t entries() const;
     /** Estimated resident bytes of all entries. */
@@ -215,23 +227,26 @@ class MemoryResultCache
 
   private:
     /** Points at a map key: element addresses survive rehashing, so
-     * the LRU list names each material without copying it. */
-    using Lru = std::list<const std::string *>;
+     * the LRU list names each key without copying it. */
+    using Lru = std::list<const CellKey *>;
 
     struct Entry
     {
         RunResult result;
+        std::string line;  ///< runResultToJson(result)
         Lru::iterator lru; ///< slot in lru_
         std::size_t bytes = 0;
     };
 
-    static std::size_t entryBytes(const std::string &material,
-                                  const Entry &e);
+    static std::size_t entryBytes(const CellKey &key, const Entry &e);
+    /** The entry for @p key with its recency refreshed and the hit
+     * counted; null on a miss. */
+    const Entry *hitLocked(const CellKey &key) const;
     void evictOverCapLocked();
 
     mutable std::mutex mutex_;
-    /** Key material -> entry; each material is stored once, here. */
-    std::unordered_map<std::string, Entry> entries_;
+    /** Key -> entry; each key is stored once, here. */
+    std::unordered_map<CellKey, Entry, CellKeyHash> entries_;
     /** Map keys, most recently used first. */
     mutable Lru lru_;
     std::size_t bytes_ = 0;

@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <cstring>
 #include <exception>
+#include <map>
 #include <fcntl.h>
 #include <poll.h>
 #include <unistd.h>
@@ -25,6 +26,7 @@
 #include "base/logging.hh"
 #include "base/profile.hh"
 #include "harness/serialize.hh"
+#include "prog/workloads/workloads.hh"
 
 namespace svw::harness {
 
@@ -210,23 +212,20 @@ SweepSession::~SweepSession()
 }
 
 void
-SweepSession::emit(CellEventKind kind, std::size_t idx,
-                   const CellOutcome *o)
+SweepSession::emitStarted(std::size_t idx)
 {
     if (!cb_)
         return;
     CellEvent ev;
-    ev.kind = kind;
+    ev.kind = CellEventKind::Started;
     ev.index = idx;
     ev.cell = &spec_.cell(idx);
-    ev.outcome = o;
-    if (o && o->ok && kind != CellEventKind::Started)
-        ev.resultLine = runResultToJson(o->result);
     cb_(ev);
 }
 
 void
-SweepSession::record(std::size_t idx, CellOutcome o, CellEventKind kind)
+SweepSession::record(std::size_t idx, CellOutcome o, CellEventKind kind,
+                     std::string line)
 {
     outcomes_[idx] = std::move(o);
     const CellOutcome &out = outcomes_[idx];
@@ -235,7 +234,22 @@ SweepSession::record(std::size_t idx, CellOutcome o, CellEventKind kind)
         ++failures_;
     if (kind == CellEventKind::CachedHit)
         ++cacheHits_;
-    emit(kind, idx, &out);
+    if (!cb_)
+        return;
+    CellEvent ev;
+    ev.kind = kind;
+    ev.index = idx;
+    ev.cell = &spec_.cell(idx);
+    ev.outcome = &out;
+    if (out.ok) {
+        // A cache hit brings its stored line; a fresh result is
+        // rendered here, once, and kept for the memory front.
+        ev.resultLine =
+            line.empty() ? runResultToJson(out.result) : std::move(line);
+    }
+    cb_(ev);
+    if (kind == CellEventKind::Done && !freshLines_.empty())
+        freshLines_[idx] = std::move(ev.resultLine);
 }
 
 void
@@ -260,6 +274,11 @@ SweepSession::probeAndQueue()
         if (!opts_.cacheDir.empty())
             cache_.emplace(opts_.cacheDir);
         MemoryResultCache &mem = processMemoryResultCache();
+        // A trace workload's augment reads and decodes its file:
+        // compute it once per distinct workload. Rows keep their
+        // cells together, so the map is consulted once per row.
+        std::map<std::string, std::string> augments;
+        const std::pair<const std::string, std::string> *aug = nullptr;
         std::deque<std::size_t> misses;
         for (std::size_t idx : cells) {
             const SweepCell &cell = spec_.cell(idx);
@@ -267,15 +286,25 @@ SweepSession::probeAndQueue()
                 misses.push_back(idx);
                 continue;
             }
-            CellKey key = cellKey(cell);
+            if (!aug || aug->first != cell.workload) {
+                auto [it, fresh] = augments.try_emplace(cell.workload);
+                if (fresh)
+                    it->second = workloads::cacheKeyAugment(cell.workload);
+                aug = &*it;
+            }
+            CellKey key = cellKey(cell, aug->second);
             CellOutcome o;
-            if (mem.get(key, o.result)) {
+            std::string line;
+            if (mem.get(key, o.result, line)) {
                 o.ran = o.ok = o.cached = true;
-                record(idx, std::move(o), CellEventKind::CachedHit);
+                record(idx, std::move(o), CellEventKind::CachedHit,
+                       std::move(line));
             } else if (cache_ && cache_->get(key, o.result)) {
-                mem.put(key, o.result);
+                line = runResultToJson(o.result);
+                mem.put(key, o.result, line);
                 o.ran = o.ok = o.cached = true;
-                record(idx, std::move(o), CellEventKind::CachedHit);
+                record(idx, std::move(o), CellEventKind::CachedHit,
+                       std::move(line));
             } else {
                 probed_.emplace_back(idx, std::move(key));
                 misses.push_back(idx);
@@ -283,6 +312,8 @@ SweepSession::probeAndQueue()
         }
         cells = std::move(misses);
     }
+    if (!probed_.empty())
+        freshLines_.resize(spec_.size());
 
     pending_ = std::move(cells);
     queuedCells_ = pending_.size();
@@ -293,11 +324,16 @@ SweepSession::storeFreshResults()
 {
     for (const auto &[idx, key] : probed_) {
         const CellOutcome &o = outcomes_[idx];
-        if (o.ran && o.ok) {
-            processMemoryResultCache().put(key, o.result);
-            if (cache_)
-                cache_->put(key, o.result);
-        }
+        if (!o.ran || !o.ok)
+            continue;
+        // The line its Done event streamed; with no callback, none
+        // was rendered yet.
+        std::string &line = freshLines_[idx];
+        if (line.empty())
+            line = runResultToJson(o.result);
+        processMemoryResultCache().put(key, o.result, std::move(line));
+        if (cache_)
+            cache_->put(key, o.result);
     }
     if (cache_ && opts_.cacheMaxMb > 0)
         cache_->trimToBytes(opts_.cacheMaxMb * 1024 * 1024);
@@ -397,7 +433,7 @@ SweepSession::drainCompletions()
             break;
         for (Completion &c : drained) {
             if (c.isStart) {
-                emit(CellEventKind::Started, c.index, nullptr);
+                emitStarted(c.index);
                 continue;
             }
             ++recordedCells_;
@@ -418,7 +454,7 @@ SweepSession::step()
     if (!pending_.empty()) {
         const std::size_t idx = pending_.front();
         pending_.pop_front();
-        emit(CellEventKind::Started, idx, nullptr);
+        emitStarted(idx);
         CellOutcome o = runCellContained(spec_.cell(idx), opts_.profile);
         ++recordedCells_;
         record(idx, std::move(o), CellEventKind::Done);

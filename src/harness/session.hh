@@ -87,7 +87,9 @@ struct CellEvent
     /** Lossless RunResult JSON line (runResultToJson) for successful
      * Done/CachedHit events; empty otherwise. This is the same format
      * the result cache stores, so a stream consumer (sweepd clients)
-     * sees bit-exact metrics. */
+     * sees bit-exact metrics. A memory hit carries the line its entry
+     * stored; a fresh result's line is rendered once, and the memory
+     * front stores that same string. */
     std::string resultLine;
 };
 
@@ -222,8 +224,11 @@ class SweepSession
     friend class CellPool;
 
     void probeAndQueue();
-    void record(std::size_t idx, CellOutcome o, CellEventKind kind);
-    void emit(CellEventKind kind, std::size_t idx, const CellOutcome *o);
+    /** Record @p idx's outcome and fire its event; @p line is a cache
+     * hit's stored result line (empty: render it if needed). */
+    void record(std::size_t idx, CellOutcome o, CellEventKind kind,
+                std::string line = {});
+    void emitStarted(std::size_t idx);
     void wakeDriver();
     void drainCompletions();
     void storeFreshResults();
@@ -235,6 +240,10 @@ class SweepSession
     std::vector<CellOutcome> outcomes_;
     std::optional<ResultCache> cache_;
     std::vector<std::pair<std::size_t, CellKey>> probed_;
+    /** By cell index, sized only when some cell was probed and
+     * missed: the result line each fresh cell's Done event rendered,
+     * handed to the memory front at finish(). */
+    std::vector<std::string> freshLines_;
     std::deque<std::size_t> pending_;  ///< cells still to run
 
     bool started_ = false;

@@ -6,6 +6,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
+#include <set>
 
 #include <unistd.h>
 
@@ -136,12 +138,13 @@ SweepResults::failures() const
 // Persistent result cache
 // ---------------------------------------------------------------------------
 
+namespace {
+
 std::uint64_t
-CellKey::hash() const
+fnv1a64(const std::string &text)
 {
-    // FNV-1a 64.
     std::uint64_t h = 14695981039346656037ull;
-    for (unsigned char ch : material) {
+    for (unsigned char ch : text) {
         h ^= ch;
         h *= 1099511628211ull;
     }
@@ -149,21 +152,34 @@ CellKey::hash() const
 }
 
 std::string
-CellKey::fileName() const
+entryFileName(std::uint64_t hash)
 {
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%016llx.json",
-                  static_cast<unsigned long long>(hash()));
+                  static_cast<unsigned long long>(hash));
     return buf;
 }
 
-CellKey
-cellKey(const SweepCell &cell)
+/**
+ * The process-wide config key texts: each distinct ExperimentConfig
+ * is expanded and rendered once. Texts are deduplicated by content
+ * (two configs that render alike share one string), so comparing
+ * CellKey::configText pointers compares texts. The table holds one
+ * text per distinct config a sweep has keyed — the figure builders
+ * define a few dozen — and lives outside the memory front's byte
+ * budget. Set nodes never move, so the pointers stay valid for the
+ * process.
+ */
+const std::string &
+internedConfigText(const ExperimentConfig &cfg)
 {
-    CellKey key;
-    std::string &m = key.material;
-    // A figure cell's material is about 1.15 KB: one allocation.
-    m.reserve(1536);
+    static std::mutex mutex;
+    static std::map<ExperimentConfig, const std::string *> byConfig;
+    static std::set<std::string> texts;
+    std::lock_guard<std::mutex> lock(mutex);
+    auto it = byConfig.find(cfg);
+    if (it != byConfig.end())
+        return *it->second;
     // The config *label* is keyed alongside the expanded CoreParams:
     // the cached RunResult embeds it, and two ExperimentConfigs can
     // normalize to identical machine knobs while labeling differently
@@ -171,25 +187,82 @@ cellKey(const SweepCell &cell)
     // serve a result stamped with the other experiment's name.
     // Intentional cross-figure sharing is unaffected: identical
     // ExperimentConfigs have identical labels.
+    std::string text = configLabel(cfg);
+    text += '|';
+    appendCoreParamsKeyText(text, buildParams(cfg));
+    const std::string *interned = &*texts.insert(std::move(text)).first;
+    byConfig.emplace(cfg, interned);
+    return *interned;
+}
+
+} // namespace
+
+std::string
+CellKey::material() const
+{
+    svw_assert(configText, "CellKey::material on a key not from cellKey");
+    std::string m;
+    // One allocation: a figure cell's material is about 1.15 KB.
+    m.reserve(64 + workload.size() + configText->size() + augment.size());
     m += "version=";
     m += resultCacheCodeVersion;
     m += "|workload=";
-    m += cell.workload;
+    m += workload;
     m += "|insts=";
-    char insts[20];
-    m.append(insts,
-             std::to_chars(insts, insts + sizeof(insts), cell.targetInsts)
-                 .ptr);
-    m += cell.goldenCheck ? "|golden=1" : "|golden=0";
+    char buf[20];
+    m.append(buf, std::to_chars(buf, buf + sizeof(buf), insts).ptr);
+    m += goldenCheck ? "|golden=1" : "|golden=0";
     m += "|label=";
-    m += configLabel(cell.config);
-    m += '|';
-    appendCoreParamsKeyText(m, buildParams(cell.config));
+    m += *configText;
     // Content identity for workloads whose name is not a complete
     // recipe (trace files); empty for every other workload, so
     // existing cache entries stay valid.
-    m += workloads::cacheKeyAugment(cell.workload);
+    m += augment;
+    return m;
+}
+
+std::uint64_t
+CellKey::hash() const
+{
+    return fnv1a64(material());
+}
+
+std::string
+CellKey::fileName() const
+{
+    return entryFileName(hash());
+}
+
+std::size_t
+CellKeyHash::operator()(const CellKey &k) const
+{
+    std::size_t h = std::hash<const void *>()(k.configText);
+    auto mix = [&h](std::size_t v) {
+        h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
+    };
+    mix(std::hash<std::string>()(k.workload));
+    mix(static_cast<std::size_t>(k.insts) * 2 + k.goldenCheck);
+    if (!k.augment.empty())
+        mix(std::hash<std::string>()(k.augment));
+    return h;
+}
+
+CellKey
+cellKey(const SweepCell &cell, std::string augment)
+{
+    CellKey key;
+    key.configText = &internedConfigText(cell.config);
+    key.workload = cell.workload;
+    key.insts = cell.targetInsts;
+    key.goldenCheck = cell.goldenCheck;
+    key.augment = std::move(augment);
     return key;
+}
+
+CellKey
+cellKey(const SweepCell &cell)
+{
+    return cellKey(cell, workloads::cacheKeyAugment(cell.workload));
 }
 
 bool
@@ -237,18 +310,19 @@ ResultCache::collectTempLitter() const
 bool
 ResultCache::get(const CellKey &key, RunResult &out) const
 {
-    const std::string path = dir_ + "/" + key.fileName();
+    const std::string material = key.material();
+    const std::string path = dir_ + "/" + entryFileName(fnv1a64(material));
     std::ifstream in(path);
     if (!in)
         return false;
     std::string line;
     if (!std::getline(in, line))
         return false;
-    std::string material;
+    std::string stored;
     RunResult r;
-    if (!cacheEntryFromLine(line, material, r))
+    if (!cacheEntryFromLine(line, stored, r))
         return false;  // corruption / foreign file: treat as a miss
-    if (material != key.material)
+    if (stored != material)
         return false;  // hash collision: never serve a wrong result
     out = std::move(r);
     // Refresh the entry's access stamp so trimToBytes evicts genuinely
@@ -323,7 +397,9 @@ ResultCache::put(const CellKey &key, const RunResult &r) const
         gcDone_ = true;
         collectTempLitter();
     }
-    const std::string target = dir_ + "/" + key.fileName();
+    const std::string material = key.material();
+    const std::string target =
+        dir_ + "/" + entryFileName(fnv1a64(material));
     // Same-directory temp + rename: rename(2) is atomic, so a
     // concurrent reader (or a sibling sweep_driver shard writing the
     // same key) sees a complete entry or none. The hostname+pid
@@ -341,7 +417,7 @@ ResultCache::put(const CellKey &key, const RunResult &r) const
             svw_warn("result cache: cannot write ", tmp);
             return;
         }
-        outf << cacheEntryToLine(key.material, r);
+        outf << cacheEntryToLine(material, r);
         outf.flush();
         if (!outf) {
             svw_warn("result cache: short write to ", tmp);

@@ -121,10 +121,17 @@ struct CellOutcome
 inline constexpr const char *resultCacheCodeVersion = "svw-sim-2";
 
 /**
- * Content-addressed identity of a cell's RunResult: the human-readable
- * key material (version | workload | insts | goldenCheck | config
- * label | full CoreParams text). The in-memory front is keyed by the
- * material itself, so its hits are exact by construction. The disk
+ * Content-addressed identity of a cell's RunResult. Its parts are the
+ * code-version stamp, workload, insts, goldenCheck, the config's key
+ * text (its label and the full CoreParams text) and the workload's
+ * content augment. material() renders them as the human-readable key
+ * material (version | workload | insts | goldenCheck | config label |
+ * full CoreParams text | augment).
+ *
+ * The config text is rendered once per distinct ExperimentConfig and
+ * interned process-wide, deduplicated by content, so two keys compare
+ * equal exactly when their materials would. The in-memory front is
+ * keyed by these parts and never renders the material. The disk
  * store names each entry file by a 64-bit FNV-1a hash of the material
  * and embeds the material in the file, so a lookup verifies it — a
  * hash collision degrades to a miss, never a wrong hit.
@@ -134,17 +141,40 @@ inline constexpr const char *resultCacheCodeVersion = "svw-sim-2";
  */
 struct CellKey
 {
-    std::string material;
+    /** The config's interned key text; null only in a
+     * default-constructed key. */
+    const std::string *configText = nullptr;
+    std::string workload;
+    std::uint64_t insts = 0;
+    bool goldenCheck = true;
+    /** workloads::cacheKeyAugment(workload): a trace file's content
+     * identity, empty for every other workload. */
+    std::string augment;
 
+    /** The full key material (the disk store's file content). */
+    std::string material() const;
     /** FNV-1a 64 of the material; only the disk store needs it. */
     std::uint64_t hash() const;
     /** Cache file name: hash() as 16 hex digits + ".json". */
     std::string fileName() const;
+
+    bool operator==(const CellKey &) const = default;
+};
+
+/** Hash of a CellKey's parts (the memory front's map hash). */
+struct CellKeyHash
+{
+    std::size_t operator()(const CellKey &k) const;
 };
 
 /** Derive the cache key for @p cell (expands the cell's
- * ExperimentConfig through buildParams so every machine knob counts). */
+ * ExperimentConfig through buildParams so every machine knob counts;
+ * the expansion runs once per distinct config per process). */
 CellKey cellKey(const SweepCell &cell);
+
+/** cellKey with the workload's cacheKeyAugment already computed, so a
+ * sweep reads a trace file once per workload, not once per cell. */
+CellKey cellKey(const SweepCell &cell, std::string augment);
 
 /**
  * True when the cell's outcome is a pure function of its key: no

@@ -31,6 +31,8 @@ struct CacheParams
 
 /**
  * Tag/LRU/dirty state for one cache. No data storage; see file comment.
+ * Replacement fills the first invalid way, else the least recently
+ * touched one.
  */
 class Cache
 {
@@ -73,13 +75,9 @@ class Cache
     }
 
   private:
-    struct Line
-    {
-        bool valid = false;
-        bool dirty = false;
-        Addr tag = 0;
-        std::uint64_t lruStamp = 0;
-    };
+    /** Flag bits of a tag word, kept in its line-offset bits. */
+    static constexpr std::uint64_t validBit = 1;
+    static constexpr std::uint64_t dirtyBit = 2;
 
     /** Dense hot-loop accumulators, bound to the Scalars below (see
      * stats::Scalar::bind). */
@@ -94,11 +92,31 @@ class Cache
     unsigned numSets;
     unsigned offsetBits;
     Addr lineMask;
-    std::uint64_t lruCounter = 0;
-    std::vector<Line> lines;   ///< numSets * assoc, set-major
+    /**
+     * One word per line, set-major: the line address with validBit and
+     * dirtyBit in its offset bits; zero = invalid. With its rank byte
+     * a line costs 9 B, so the L2's 32768 lines take 288 KB.
+     */
+    std::vector<std::uint64_t> tags;
+    /**
+     * One recency rank per line, set-major: within a set the ranks are
+     * a permutation of 0..assoc-1, 0 the most recently touched. Every
+     * hit and fill touches its line, so among valid lines rank order
+     * is touch order — the victim a per-line LRU stamp would pick.
+     */
+    std::vector<std::uint8_t> ranks;
 
-    Line *findLine(Addr addr);
-    const Line *findLine(Addr addr) const;
+    /** Index of the first way of @p addr's set in tags and ranks. */
+    std::size_t setBase(Addr addr) const
+    {
+        return static_cast<std::size_t>((addr >> offsetBits) &
+                                        (numSets - 1)) *
+               params.assoc;
+    }
+    /** Way holding @p addr's line in the set at @p base, or assoc. */
+    unsigned findWay(std::size_t base, Addr addr) const;
+    /** Make @p way the most recently touched of the set at @p base. */
+    void touch(std::size_t base, unsigned way);
 
   public:
     stats::Scalar hits;

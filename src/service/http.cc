@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 
 namespace svw::service {
@@ -191,12 +192,27 @@ chunkedResponseHead(int status, const std::string &reason,
     return head;
 }
 
+void
+appendChunk(std::string &out, std::initializer_list<std::string_view> parts)
+{
+    std::size_t size = 0;
+    for (std::string_view p : parts)
+        size += p.size();
+    char hex[2 * sizeof(std::size_t)];
+    out.append(hex, std::to_chars(hex, hex + sizeof(hex), size, 16).ptr);
+    out += "\r\n";
+    for (std::string_view p : parts)
+        out += p;
+    out += "\r\n";
+}
+
 std::string
 encodeChunk(const std::string &data)
 {
-    char size[32];
-    std::snprintf(size, sizeof(size), "%zx\r\n", data.size());
-    return std::string(size) + data + "\r\n";
+    std::string out;
+    out.reserve(data.size() + 2 * sizeof(std::size_t) + 4);
+    appendChunk(out, {data});
+    return out;
 }
 
 std::string

@@ -16,8 +16,10 @@
 #define SVW_SERVICE_HTTP_HH
 
 #include <cstddef>
+#include <initializer_list>
 #include <map>
 #include <string>
+#include <string_view>
 
 namespace svw::service {
 
@@ -92,7 +94,18 @@ std::string simpleResponse(int status, const std::string &reason,
 std::string chunkedResponseHead(int status, const std::string &reason,
                                 const std::string &contentType);
 
-/** One transfer-encoding chunk framing @p data (must be non-empty). */
+/**
+ * Append one transfer-encoding chunk to @p out: the payload's size in
+ * hex, CRLF, the payload — @p parts concatenated — and CRLF (an empty
+ * payload frames the terminating chunk). sweepd frames its stream
+ * straight into a connection's output buffer this way, with no
+ * temporary per chunk.
+ */
+void appendChunk(std::string &out,
+                 std::initializer_list<std::string_view> parts);
+
+/** One transfer-encoding chunk framing @p data (appendChunk's
+ * format; empty data frames the terminating chunk). */
 std::string encodeChunk(const std::string &data);
 
 /** The terminating zero-length chunk. */

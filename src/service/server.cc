@@ -8,9 +8,11 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
+#include <string_view>
 #include <vector>
 
 #include "harness/executor.hh"
@@ -28,17 +30,24 @@ namespace {
  * behind; the stream resumes once the buffer drains. */
 constexpr std::size_t writeBackpressureBytes = 4 * 1024 * 1024;
 
+/** Output reserved per cell when a sweep's stream opens: a cell
+ * streams an event line or two (about 70 B each) and its result line
+ * (about 450 B), each framed as a chunk. */
+constexpr std::size_t streamBytesPerCell = 640;
+
 /**
  * Width of the shared simulation pool: one cell simulates at a time,
  * beside the loop thread. Memory, not CPU, sets it: every simulating
- * cell holds its own Core, whose L2 tag array alone is 768 KB (32768
- * lines x 24 B). On a 4-CPU x86-64 host with sweepd pinned to 3 CPUs,
- * four whole-figure fills at 20k instructions per cell and then 60
- * cold fig6 synth rows peaked (VmHWM) at 8.6, 11.2 and 13.8 MB with 1,
- * 2 and 3 cells simulating at once. In the benchmark's service_mixed
- * workload a 3-wide pool read 17.5 and 17.9 MB of peak RSS against
- * about 11.4 MB for one thread, far past the 10% bound. Widen the
- * pool once per-cell memory shrinks.
+ * cell holds its own Core. With 24-B cache lines, when the L2 tag
+ * array alone was 768 KB, a 4-CPU x86-64 host with sweepd pinned to 3
+ * CPUs ran four whole-figure fills at 20k instructions per cell and
+ * then 60 cold fig6 synth rows to a peak (VmHWM) of 8.6, 11.2 and
+ * 13.8 MB with 1, 2 and 3 cells simulating at once, and in the
+ * benchmark's service_mixed workload a 3-wide pool read 17.5 and
+ * 17.9 MB of peak RSS against about 11.4 MB for one thread, far past
+ * the 10% bound. Lines are now 9 B (mem/cache.hh: the L2 array is
+ * 288 KB), which shrinks each extra cell's cost but has not yet been
+ * measured against that bound with a wider pool.
  */
 constexpr unsigned simulationThreads = 1;
 
@@ -142,7 +151,10 @@ struct SweepServer::Conn
 
     int fd = -1;
     HttpParser parser;
-    std::string out;            ///< bytes awaiting the socket
+    /** The response; bytes before `sent` are already written. */
+    std::string out;
+    std::size_t sent = 0;
+    std::size_t pending() const { return out.size() - sent; }
     bool responding = false;    ///< request complete; producing output
     bool closeAfterFlush = false;
     /** Client gone or done; the Conn lingers only while an aborted
@@ -393,23 +405,29 @@ SweepServer::startSweep(Conn &c)
             ev.kind == harness::CellEventKind::Started ? "started"
             : ev.kind == harness::CellEventKind::CachedHit ? "cached"
                                                            : "done";
-        std::string line = std::string("{\"event\":\"") + kind +
-            "\",\"cell\":" + std::to_string(ev.index) + ",\"name\":\"" +
-            harness::jsonEscape(ev.cell->name()) + "\"";
-        if (ev.outcome)
-            line += std::string(",\"ok\":") +
-                (ev.outcome->ok ? "true" : "false");
-        line += "}\n";
-        conn->out += encodeChunk(line);
+        char index[20];
+        const std::string_view indexText(
+            index,
+            std::to_chars(index, index + sizeof(index), ev.index).ptr -
+                index);
+        const char *ok = !ev.outcome     ? ""
+                         : ev.outcome->ok ? ",\"ok\":true"
+                                          : ",\"ok\":false";
+        appendChunk(conn->out,
+                    {"{\"event\":\"", kind, "\",\"cell\":", indexText,
+                     ",\"name\":\"", harness::jsonEscape(ev.cell->name()),
+                     "\"", ok, "}\n"});
         // The lossless per-cell result, byte-identical to the CLI
         // binaries' --emit-cells lines, as its own stream line.
         if (!ev.resultLine.empty())
-            conn->out += encodeChunk(ev.resultLine + "\n");
+            appendChunk(conn->out, {ev.resultLine, "\n"});
     };
 
     try {
+        harness::SweepSpec spec = def->build(suite, insts);
+        c.out.reserve(c.out.size() + spec.size() * streamBytesPerCell);
         c.session = std::make_unique<harness::SweepSession>(
-            def->build(suite, insts), sopts, pool_.get());
+            std::move(spec), sopts, pool_.get());
         c.session->start(cb);
     } catch (const std::exception &e) {
         // Headers are already queued, so stream the failure as the
@@ -438,11 +456,11 @@ SweepServer::finishSession(Conn &c)
     ++sessionsServed_;
     if (c.dead)
         return;  // aborted: its client is gone
-    std::string line = "{\"event\":\"finished\",\"cells\":" +
+    const std::string line = "{\"event\":\"finished\",\"cells\":" +
         std::to_string(cells) + ",\"failures\":" +
         std::to_string(failures) + ",\"cacheHits\":" +
         std::to_string(hits) + "}\n";
-    c.out += encodeChunk(line);
+    appendChunk(c.out, {line});
     c.out += finalChunk();
     c.closeAfterFlush = true;
     if (!opts_.quiet)
@@ -473,20 +491,30 @@ SweepServer::failConn(Conn &c)
 void
 SweepServer::flushConn(Conn &c)
 {
-    while (!c.out.empty()) {
-        const ssize_t n =
-            ::send(c.fd, c.out.data(), c.out.size(), MSG_NOSIGNAL);
+    while (c.pending() > 0) {
+        const ssize_t n = ::send(c.fd, c.out.data() + c.sent, c.pending(),
+                                 MSG_NOSIGNAL);
         if (n > 0) {
-            c.out.erase(0, static_cast<std::size_t>(n));
+            c.sent += static_cast<std::size_t>(n);
             continue;
         }
-        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
+        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+            // A slow reader: drop the sent prefix only once it is the
+            // larger part of the buffer, so each byte moves at most
+            // about once however many sends it takes.
+            if (c.sent > c.pending()) {
+                c.out.erase(0, c.sent);
+                c.sent = 0;
+            }
             return;
+        }
         if (n < 0 && errno == EINTR)
             continue;
         failConn(c);  // EPIPE/ECONNRESET: the mid-stream disconnect
         return;
     }
+    c.out.clear();  // keeps the capacity for the rest of the stream
+    c.sent = 0;
     if (c.closeAfterFlush)
         c.dead = true;
 }
@@ -537,7 +565,7 @@ SweepServer::run()
             Conn &c = *cp;
             if (!c.dead) {
                 short events = POLLIN;
-                if (!c.out.empty())
+                if (c.pending() > 0)
                     events |= POLLOUT;
                 fds.push_back(pollfd{c.fd, events, 0});
                 owner.push_back(&c);
@@ -545,7 +573,7 @@ SweepServer::run()
             // Completions arrive through the session's wake pipe. A
             // slow reader's is left unpolled until its buffer drains.
             if (c.session && c.session->wakeFd() >= 0 &&
-                (c.dead || c.out.size() < writeBackpressureBytes)) {
+                (c.dead || c.pending() < writeBackpressureBytes)) {
                 fds.push_back(pollfd{c.session->wakeFd(), POLLIN, 0});
                 owner.push_back(&c);
             }

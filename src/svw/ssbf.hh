@@ -27,6 +27,7 @@
 #ifndef SVW_SVW_SSBF_HH
 #define SVW_SVW_SSBF_HH
 
+#include <compare>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -43,6 +44,9 @@ struct SsbfParams
     unsigned granularityBytes = 8;   ///< conflict-tracking granule
     bool dualHash = false;           ///< Figure 8 "Bloom" configuration
     bool infinite = false;           ///< exact per-granule tracking
+
+    /** Memberwise order (harness::ExperimentConfig's needs it). */
+    auto operator<=>(const SsbfParams &) const = default;
 };
 
 /**

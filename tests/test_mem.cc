@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "base/random.hh"
 #include "mem/cache.hh"
 #include "mem/hierarchy.hh"
 #include "mem/port.hh"
@@ -99,6 +100,130 @@ TEST(Cache, BadGeometryPanics)
     stats::StatRegistry reg;
     CacheParams p{1000, 2, 64, 2};  // non power of two
     EXPECT_THROW(Cache("c", p, reg), std::logic_error);
+}
+
+namespace {
+
+/** Reference model of Cache: one record per line with a per-line LRU
+ * stamp, the victim the first invalid way else the oldest stamp. */
+class StampLruCache
+{
+  public:
+    explicit StampLruCache(const CacheParams &p)
+        : assoc(p.assoc),
+          sets(static_cast<unsigned>(p.sizeBytes / (p.lineBytes * p.assoc))),
+          lineBytes(p.lineBytes), lines(std::size_t(sets) * assoc)
+    {}
+
+    Cache::AccessResult access(Addr addr, bool isWrite)
+    {
+        Cache::AccessResult res;
+        Line *set = setOf(addr);
+        const Addr tag = addr / lineBytes;
+        for (unsigned w = 0; w < assoc; ++w) {
+            if (set[w].valid && set[w].tag == tag) {
+                set[w].stamp = ++clock;
+                set[w].dirty |= isWrite;
+                res.hit = true;
+                return res;
+            }
+        }
+        Line *victim = &set[0];
+        for (unsigned w = 0; w < assoc; ++w) {
+            if (!set[w].valid) {
+                victim = &set[w];
+                break;
+            }
+            if (set[w].stamp < victim->stamp)
+                victim = &set[w];
+        }
+        res.writebackVictim = victim->valid && victim->dirty;
+        *victim = Line{true, isWrite, tag, ++clock};
+        return res;
+    }
+
+    bool invalidate(Addr addr)
+    {
+        Line *set = setOf(addr);
+        for (unsigned w = 0; w < assoc; ++w) {
+            if (set[w].valid && set[w].tag == addr / lineBytes) {
+                set[w].valid = set[w].dirty = false;
+                return true;
+            }
+        }
+        return false;
+    }
+
+  private:
+    struct Line
+    {
+        bool valid = false;
+        bool dirty = false;
+        Addr tag = 0;
+        std::uint64_t stamp = 0;
+    };
+
+    Line *setOf(Addr addr)
+    {
+        return &lines[std::size_t(addr / lineBytes % sets) * assoc];
+    }
+
+    unsigned assoc, sets, lineBytes;
+    std::vector<Line> lines;
+    std::uint64_t clock = 0;
+};
+
+} // namespace
+
+TEST(Cache, MatchesStampLruReferenceOnEveryGeometry)
+{
+    // Seeded random accesses, writes and invalidations on the l1i, l1d
+    // and l2 geometries; every hit, writeback and invalidation must
+    // match the stamp-LRU reference.
+    const MemParams mp;
+    const std::pair<const char *, CacheParams> geometries[] = {
+        {"l1i", mp.l1i}, {"l1d", mp.l1d}, {"l2", mp.l2}};
+    for (const auto &[name, params] : geometries) {
+        for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+            stats::StatRegistry reg;
+            Cache cache(name, params, reg);
+            StampLruCache ref(params);
+            Random rng(seed * 7919);
+            // A footprint of about 1.5x the cache, in lines, so sets
+            // see hits, conflict misses and evictions of dirty lines.
+            const std::uint64_t lines =
+                params.sizeBytes / params.lineBytes * 3 / 2;
+            std::uint64_t hits = 0, writebacks = 0, invalidations = 0;
+            for (int i = 0; i < 200'000; ++i) {
+                const Addr addr = rng.next() % lines * params.lineBytes +
+                                  rng.next() % params.lineBytes;
+                const std::uint64_t op = rng.next() % 16;
+                if (op == 0) {
+                    const bool was = ref.invalidate(addr);
+                    ASSERT_EQ(cache.invalidate(addr), was)
+                        << name << " seed " << seed << " op " << i;
+                    invalidations += was;
+                    continue;
+                }
+                const bool isWrite = op < 5;
+                const Cache::AccessResult want = ref.access(addr, isWrite);
+                const Cache::AccessResult got = cache.access(addr, isWrite);
+                ASSERT_EQ(got.hit, want.hit)
+                    << name << " seed " << seed << " op " << i;
+                ASSERT_EQ(got.writebackVictim, want.writebackVictim)
+                    << name << " seed " << seed << " op " << i;
+                ASSERT_EQ(cache.probe(addr), true);
+                hits += want.hit;
+                writebacks += want.writebackVictim;
+            }
+            EXPECT_EQ(cache.hits.value(), hits);
+            EXPECT_EQ(cache.writebacks.value(), writebacks);
+            EXPECT_EQ(cache.invalidations.value(), invalidations);
+            EXPECT_GT(hits, 0u);
+            EXPECT_GT(writebacks, 0u);
+            EXPECT_GT(invalidations, 0u);
+        }
+    }
 }
 
 TEST(CyclePort, WidthEnforcedPerCycle)

@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -23,6 +24,7 @@
 #include "harness/executor.hh"
 #include "harness/figures.hh"
 #include "harness/serialize.hh"
+#include "harness/session.hh"
 #include "harness/sweep.hh"
 #include "prog/trace.hh"
 #include "prog/workloads/workloads.hh"
@@ -94,7 +96,7 @@ TEST(CellKey, StableAndNameIndependent)
     SweepCell a = makeCell("g", "l", "gzip", 5'000);
     const CellKey k = cellKey(a);
     EXPECT_EQ(cellKey(a).hash(), k.hash());
-    EXPECT_EQ(cellKey(a).material, k.material);
+    EXPECT_EQ(cellKey(a).material(), k.material());
     EXPECT_EQ(k.fileName().size(), 16u + 5u);
 
     // Naming and presentation fields are not identity: the same
@@ -104,19 +106,19 @@ TEST(CellKey, StableAndNameIndependent)
     renamed.label = "column";
     renamed.baseline = true;
     EXPECT_EQ(cellKey(renamed).hash(), k.hash());
-    EXPECT_EQ(cellKey(renamed).material, k.material);
+    EXPECT_EQ(cellKey(renamed).material(), k.material());
 
     // The material embeds the code-version stamp and every knob.
-    EXPECT_NE(k.material.find(resultCacheCodeVersion), std::string::npos);
-    EXPECT_NE(k.material.find("workload=gzip"), std::string::npos);
-    EXPECT_NE(k.material.find("rle.maxPinnedRegs="), std::string::npos);
+    EXPECT_NE(k.material().find(resultCacheCodeVersion), std::string::npos);
+    EXPECT_NE(k.material().find("workload=gzip"), std::string::npos);
+    EXPECT_NE(k.material().find("rle.maxPinnedRegs="), std::string::npos);
 
     // The exact material and file name of two real figure cells. A
     // --cache-dir filled by any earlier build is found by these bytes,
     // so a drift in the key renderer would silently orphan it.
     const SweepSpec f5 = fig5Spec({"gzip"}, 20'000);
     const CellKey k5 = cellKey(f5.cell(f5.index("gzip", "BASE")));
-    EXPECT_EQ(k5.material,
+    EXPECT_EQ(k5.material(),
         "version=svw-sim-2|workload=gzip|insts=20000|golden=1|label=BASE|"
         "fetchWidth=8|dispatchWidth=8|issueWidth=8|commitWidth=8|"
         "intIssue=5|loadIssue=2|branchIssue=1|robEntries=512|"
@@ -142,7 +144,7 @@ TEST(CellKey, StableAndNameIndependent)
 
     const SweepSpec f8 = fig8Spec({"vortex"}, 20'000);
     const CellKey k8 = cellKey(f8.cell(f8.index("vortex", "Bloom")));
-    EXPECT_EQ(k8.material,
+    EXPECT_EQ(k8.material(),
         "version=svw-sim-2|workload=vortex|insts=20000|golden=1|"
         "label=SSQ+SVW+UPD|fetchWidth=8|dispatchWidth=8|issueWidth=8|"
         "commitWidth=8|intIssue=5|loadIssue=2|branchIssue=1|"
@@ -177,7 +179,7 @@ TEST(CellKey, EverySimulationInputChangesTheKey)
 
     auto differs = [&k0](SweepCell c, const char *what) {
         const CellKey k = cellKey(c);
-        EXPECT_NE(k.material, k0.material) << what;
+        EXPECT_NE(k.material(), k0.material()) << what;
         EXPECT_NE(k.hash(), k0.hash()) << what;
     };
 
@@ -281,7 +283,7 @@ TEST(CellKey, SynthRecipeIsIdentity)
 
     // Cells carry the workload name verbatim, so the canonical recipe
     // spelled by the spec builders maps to the same entry.
-    EXPECT_EQ(keyFor("synth:hashjoin:7").material, k0.material);
+    EXPECT_EQ(keyFor("synth:hashjoin:7").material(), k0.material());
     // Synth names are self-describing: no content augment is added.
     EXPECT_EQ(workloads::cacheKeyAugment("synth:hashjoin:7"), "");
 }
@@ -304,18 +306,176 @@ TEST(CellKey, TraceWorkloadKeyTracksFileContent)
     SweepCell cell = makeCell("g", "l", "trace:" + path, 2'000);
     const CellKey k0 = cellKey(cell);
     EXPECT_EQ(cellKey(cell).hash(), k0.hash()) << "stable while untouched";
-    EXPECT_NE(k0.material.find("trace.payload="), std::string::npos)
-        << k0.material;
+    EXPECT_NE(k0.material().find("trace.payload="), std::string::npos)
+        << k0.material();
 
     writeTrace("gzip", 4'000);  // same path, different recording
     const CellKey k1 = cellKey(cell);
     EXPECT_NE(k1.hash(), k0.hash());
-    EXPECT_NE(k1.material, k0.material);
+    EXPECT_NE(k1.material(), k0.material());
 
     writeTrace("mcf", 2'000);  // different source kernel entirely
     const CellKey k2 = cellKey(cell);
     EXPECT_NE(k2.hash(), k0.hash());
     EXPECT_NE(k2.hash(), k1.hash());
+}
+
+TEST(CellKey, MemoryFrontEqualityIsMaterialEquality)
+{
+    // The memory front compares keys by their parts (the interned
+    // config text by address), never by the material. Over every cell
+    // the figure builders define, two keys must compare equal exactly
+    // when their full materials are equal — and then hash alike.
+    std::vector<CellKey> keys;
+    for (const std::uint64_t insts : {20'000ull, 100'000ull}) {
+        for (const FigureDef &def : figureRegistry()) {
+            const SweepSpec spec = def.build(def.paperSuite(), insts);
+            for (const SweepCell &c : spec.cells())
+                keys.push_back(cellKey(c));
+        }
+        const SweepSpec synth = fig6Spec(workloads::synthSuiteNames(), insts);
+        for (const SweepCell &c : synth.cells())
+            keys.push_back(cellKey(c));
+    }
+    std::vector<std::string> materials;
+    for (const CellKey &k : keys)
+        materials.push_back(k.material());
+    ASSERT_GT(keys.size(), 500u);
+
+    std::size_t equalPairs = 0;
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+        for (std::size_t j = i + 1; j < keys.size(); ++j) {
+            const bool sameKey = keys[i] == keys[j];
+            ASSERT_EQ(sameKey, materials[i] == materials[j])
+                << materials[i] << "\nvs\n" << materials[j];
+            if (sameKey) {
+                ++equalPairs;
+                ASSERT_EQ(CellKeyHash()(keys[i]), CellKeyHash()(keys[j]));
+            }
+        }
+    }
+    EXPECT_GT(equalPairs, 0u) << "figures share no cell: sharing untested";
+
+    // The same through the map itself: every key is served the entry
+    // stored under its material's first key.
+    MemoryResultCache cache;
+    cache.setMaxBytes(0);
+    std::map<std::string, std::size_t> first;
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+        if (first.emplace(materials[i], i).second) {
+            RunResult r;
+            r.cycles = i;
+            cache.put(keys[i], r);
+        }
+    }
+    EXPECT_EQ(cache.entries(), first.size());
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+        RunResult out;
+        ASSERT_TRUE(cache.get(keys[i], out));
+        EXPECT_EQ(out.cycles, first.at(materials[i]));
+    }
+}
+
+TEST(MemoryResultCache, HitServesTheStoredLineByteForByte)
+{
+    // Each entry stores its result line; every way an entry can be
+    // written or refreshed must serve exactly runResultToJson(result).
+    const SweepSpec spec = smallSpec();
+    MemoryResultCache cache;
+    auto result = [](const std::string &workload, std::uint64_t cycles) {
+        RunResult r;
+        r.workload = workload;
+        r.config = "NLQ+SVW+UPD \"quoted\"";
+        r.cycles = cycles;
+        r.insts = 3'000;
+        r.ipc = double(r.insts) / double(cycles);
+        r.rexRate = 1.0 / 3.0;
+        return r;
+    };
+    auto expectLine = [&cache](const CellKey &k, const RunResult &want) {
+        RunResult out;
+        std::string line;
+        ASSERT_TRUE(cache.get(k, out, line));
+        EXPECT_EQ(line, runResultToJson(want));
+        EXPECT_EQ(runResultToJson(out), runResultToJson(want));
+    };
+
+    // Fresh puts; bytes() grows by at least each entry's result and
+    // its line.
+    std::size_t bytes = cache.bytes();
+    std::vector<RunResult> results;
+    for (std::size_t i = 0; i < spec.size(); ++i) {
+        results.push_back(result(spec.cell(i).workload, 7'000 + i));
+        cache.put(cellKey(spec.cell(i)), results[i]);
+        EXPECT_GE(cache.bytes(), bytes + sizeof(RunResult) +
+                                     runResultToJson(results[i]).size());
+        bytes = cache.bytes();
+    }
+    for (std::size_t i = 0; i < spec.size(); ++i)
+        expectLine(cellKey(spec.cell(i)), results[i]);
+
+    // Overwrite, through both put overloads.
+    results[0] = result("gzip", 123'456'789);
+    cache.put(cellKey(spec.cell(0)), results[0]);
+    expectLine(cellKey(spec.cell(0)), results[0]);
+    results[1] = result("gzip", 42);
+    cache.put(cellKey(spec.cell(1)), results[1],
+              runResultToJson(results[1]));
+    expectLine(cellKey(spec.cell(1)), results[1]);
+
+    // LRU refresh: touch cell 0, then cap the cache so the least
+    // recently used entries go; the refreshed entry keeps its line.
+    expectLine(cellKey(spec.cell(0)), results[0]);
+    cache.setMaxBytes(cache.bytes() / spec.size() * 2);
+    EXPECT_LT(cache.entries(), spec.size());
+    expectLine(cellKey(spec.cell(0)), results[0]);
+}
+
+TEST(ResultCache, DiskPromotedAndFreshLinesAreTheStreamedLines)
+{
+    // A fresh result's Done line is handed to the memory front, and a
+    // disk hit's line is rendered once on promotion. Either way the
+    // memory entry serves the line the session streamed, and a later
+    // memory hit streams it again byte for byte.
+    processMemoryResultCache().clear();
+    TempDir dir;
+    const SweepSpec spec = smallSpec(2'500);
+    SweepOptions opts;
+    opts.cacheDir = dir.path;
+
+    auto streamed = [&spec, &opts](CellEventKind want) {
+        std::vector<std::string> lines(spec.size());
+        SweepSession session(spec, opts);
+        session.run([&](const CellEvent &ev) {
+            if (ev.kind == CellEventKind::Started)
+                return;
+            EXPECT_EQ(ev.kind, want) << ev.cell->name();
+            lines[ev.index] = ev.resultLine;
+        });
+        return lines;
+    };
+    auto memoryLines = [&spec] {
+        std::vector<std::string> lines;
+        for (const SweepCell &c : spec.cells()) {
+            RunResult out;
+            std::string line;
+            EXPECT_TRUE(
+                processMemoryResultCache().get(cellKey(c), out, line));
+            EXPECT_EQ(line, runResultToJson(out));
+            lines.push_back(line);
+        }
+        return lines;
+    };
+
+    const std::vector<std::string> cold = streamed(CellEventKind::Done);
+    EXPECT_EQ(memoryLines(), cold);
+
+    processMemoryResultCache().clear();
+    const std::uint64_t calls = runCellCalls();
+    EXPECT_EQ(streamed(CellEventKind::CachedHit), cold);  // disk hits
+    EXPECT_EQ(memoryLines(), cold);
+    EXPECT_EQ(streamed(CellEventKind::CachedHit), cold);  // memory hits
+    EXPECT_EQ(runCellCalls(), calls);
 }
 
 TEST(CellKey, Cacheability)
@@ -531,7 +691,7 @@ TEST(ResultCache, ConcurrentWritersNeverExposeAPartialEntry)
         RunResult got;
         ASSERT_TRUE(cacheEntryFromLine(line, material, got))
             << "torn cache entry: " << line;
-        EXPECT_EQ(material, key.material);
+        EXPECT_EQ(material, key.material());
         EXPECT_LT(got.insts, static_cast<std::uint64_t>(kWriters));
         EXPECT_EQ(got.cycles, payload.cycles);
         ++observed;

@@ -292,41 +292,55 @@ TEST(MemoryResultCacheLru, EvictsOldestFirstAndKeepsNewest)
     RunResult r;
     r.workload = "w";
 
-    auto key = [](const std::string &mat) {
-        CellKey k;
-        k.material = mat;
-        return k;
-    };
+    // Keys from distinct cells: one row's five configs.
+    const SweepSpec spec = fig5Spec({"gzip"}, 4'000);
+    ASSERT_EQ(spec.size(), 5u);
+    auto key = [&spec](std::size_t i) { return cellKey(spec.cell(i)); };
+    const std::size_t a = 0, b = 1, c = 2, d = 3, e = 4;
 
-    cache.put(key("a"), r);
-    cache.put(key("b"), r);
-    cache.put(key("c"), r);
+    cache.put(key(a), r);
+    cache.put(key(b), r);
+    cache.put(key(c), r);
     EXPECT_EQ(cache.entries(), 3u);
     const std::size_t threeBytes = cache.bytes();
 
     // Refresh "a", then cap to roughly two entries: "b" (the least
     // recently used) must go; "a" and the newest insert survive.
     RunResult out;
-    EXPECT_TRUE(cache.get(key("a"), out));
+    EXPECT_TRUE(cache.get(key(a), out));
     cache.setMaxBytes(threeBytes - 1);
     EXPECT_LT(cache.entries(), 3u);
-    EXPECT_TRUE(cache.get(key("a"), out));
-    EXPECT_FALSE(cache.get(key("b"), out));
+    EXPECT_TRUE(cache.get(key(a), out));
+    EXPECT_FALSE(cache.get(key(b), out));
     EXPECT_GE(cache.evictions(), 1u);
 
     // A cap smaller than any single entry degrades to a cache of one:
     // the newest put must always be servable back.
     cache.setMaxBytes(1);
-    cache.put(key("d"), r);
+    cache.put(key(d), r);
     EXPECT_EQ(cache.entries(), 1u);
-    EXPECT_TRUE(cache.get(key("d"), out));
+    EXPECT_TRUE(cache.get(key(d), out));
 
-    // A different material is never served, however close.
-    CellKey stored = key("e");
-    cache.put(stored, r);
-    CellKey other = stored;
-    other.material = "different";
-    EXPECT_FALSE(cache.get(other, out));
-    other.material = "e ";
-    EXPECT_FALSE(cache.get(other, out));
+    // A different material is never served, however close: a key
+    // differing from the stored one in any single part misses.
+    const SweepCell stored = spec.cell(e);
+    cache.put(cellKey(stored), r);
+    ASSERT_TRUE(cache.get(cellKey(stored), out));
+    auto nearMiss = [&](auto mutate) {
+        SweepCell cell = stored;
+        mutate(cell);
+        const CellKey k = cellKey(cell);
+        EXPECT_NE(k.material(), cellKey(stored).material());
+        EXPECT_FALSE(k == cellKey(stored));
+        return k;
+    };
+    EXPECT_FALSE(cache.get(
+        nearMiss([](SweepCell &cl) { cl.targetInsts += 1; }), out));
+    EXPECT_FALSE(cache.get(
+        nearMiss([](SweepCell &cl) { cl.goldenCheck = false; }), out));
+    EXPECT_FALSE(cache.get(
+        nearMiss([](SweepCell &cl) { cl.workload += ' '; }), out));
+    EXPECT_FALSE(cache.get(
+        nearMiss([](SweepCell &cl) { cl.config.ssnBits -= 1; }), out));
+    EXPECT_FALSE(cache.get(cellKey(stored, " "), out));
 }

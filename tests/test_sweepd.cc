@@ -30,6 +30,7 @@
 #include "harness/figures.hh"
 #include "harness/serialize.hh"
 #include "harness/sweep.hh"
+#include "service/http.hh"
 #include "service/server.hh"
 
 using namespace svw;
@@ -304,6 +305,23 @@ TEST_F(SweepdTest, WarmRepeatRequestSimulatesNothing)
     EXPECT_EQ(streamResultLines(warmBody), streamResultLines(coldBody));
 }
 
+TEST_F(SweepdTest, WarmRepeatsStreamIdenticalRawBytes)
+{
+    // Two warm repeats of one request are served from the memory
+    // front's stored lines: the whole response, head and chunk framing
+    // included, must be the same bytes each time.
+    const std::string req = "figure=fig5&insts=7000&bench=gzip";
+    const std::string cold = postSweep(port(), req);
+    const std::uint64_t calls = harness::runCellCalls();
+    const std::string warm1 = postSweep(port(), req);
+    const std::string warm2 = postSweep(port(), req);
+    EXPECT_EQ(harness::runCellCalls(), calls);
+    EXPECT_EQ(warm1, warm2);
+    EXPECT_NE(warm1.find("\"event\":\"cached\""), std::string::npos);
+    EXPECT_EQ(streamResultLines(decodeChunkedBody(warm1)),
+              streamResultLines(decodeChunkedBody(cold)));
+}
+
 TEST_F(SweepdTest, ConcurrentClientsEachGetCompleteStreams)
 {
     const std::vector<std::string> benches = {"gzip", "mcf", "crafty"};
@@ -462,4 +480,25 @@ TEST_F(SweepdTest, ColdSweepsShareTheSimulationThreadRoundRobin)
     // so both streams match the engine line for line.
     EXPECT_EQ(streamResultLines(decodeChunkedBody(shortResp)), shortWant);
     EXPECT_EQ(streamResultLines(decodeChunkedBody(longRaw)), longWant);
+}
+
+TEST(SweepdHttp, ChunkFramingIsPinned)
+{
+    // Size in lowercase hex, CRLF, payload, CRLF, whether the payload
+    // comes whole or in parts; a zero-size payload frames the
+    // terminating chunk.
+    const std::pair<std::size_t, const char *> sizes[] = {
+        {0, "0"},    {1, "1"},     {15, "f"},    {16, "10"},
+        {255, "ff"}, {256, "100"}, {4095, "fff"}};
+    for (const auto &[n, hex] : sizes) {
+        const std::string payload(n, 'x');
+        const std::string want = std::string(hex) + "\r\n" + payload + "\r\n";
+        EXPECT_EQ(encodeChunk(payload), want) << n;
+        std::string out = "prefix";
+        appendChunk(out, {std::string_view(payload).substr(0, n / 2),
+                          std::string_view(payload).substr(n / 2)});
+        EXPECT_EQ(out, "prefix" + want) << n;
+    }
+    EXPECT_EQ(encodeChunk(""), finalChunk());
+    EXPECT_EQ(encodeChunk("{\"a\":1}\n"), "8\r\n{\"a\":1}\n\r\n");
 }

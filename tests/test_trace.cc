@@ -14,6 +14,8 @@
 #include <vector>
 
 #include "func/interp.hh"
+#include "harness/figures.hh"
+#include "harness/session.hh"
 #include "prog/trace.hh"
 #include "prog/workloads/workloads.hh"
 
@@ -242,6 +244,29 @@ TEST(TraceFile, ChecksumTracksContent)
     EXPECT_NE(augB.find("trace.payload="), std::string::npos) << augB;
     trace::writeFile(path, recordKernel("mcf", 3'000));
     EXPECT_NE(workloads::cacheKeyAugment(name), augB);
+
+    // Through a sweep, which reads the augment once per workload: a
+    // warm repeat of the trace's row is served whole from the memory
+    // front, and after a rewrite every cell of the row has a new key
+    // and none is served.
+    const harness::SweepSpec row = harness::fig5Spec({name}, 2'000);
+    harness::SweepOptions opts;
+    opts.memCache = true;
+    auto cacheHits = [&row, &opts] {
+        harness::SweepSession session(row, opts);
+        session.run();
+        return session.cacheHits();
+    };
+    cacheHits();
+    EXPECT_EQ(cacheHits(), row.size());
+    std::vector<std::string> before;
+    for (const harness::SweepCell &c : row.cells())
+        before.push_back(harness::cellKey(c).material());
+    trace::writeFile(path, recordKernel("gzip", 3'000));
+    for (std::size_t i = 0; i < row.size(); ++i)
+        EXPECT_NE(harness::cellKey(row.cell(i)).material(), before[i])
+            << row.cell(i).name();
+    EXPECT_EQ(cacheHits(), 0u);
     std::remove(path.c_str());
 }
 
