@@ -68,7 +68,9 @@ std::uint64_t nowNs();
 struct StageTimes
 {
     std::uint64_t ns[NumStages] = {};
-    std::uint64_t ticks = 0;  ///< profiled tick() calls
+    /** Simulated cycles of the profiled run: tick() calls plus the
+     * cycles dead-cycle skipping advanced over in one step. */
+    std::uint64_t ticks = 0;
 
     /** Sum of the top-level stage counters (nested stages excluded —
      * their time is already inside their parents'). */

@@ -16,17 +16,24 @@
  * precedes C - horizon), so draining overflow first preserves global
  * insertion order; std::multimap keeps equal keys in insertion order.
  *
- * The drain contract assumes the owner calls drain(now) every cycle with
- * `now` advancing by one — exactly what Core::tick does. Events
- * scheduled for the current or a past cycle fire on the next drain (the
- * multimap behaved the same way: completeStage had already run by the
- * time issue inserted them).
+ * The drain contract: the owner calls drain(now) for every cycle that
+ * has an event due, in increasing order of `now`. Core::tick drains
+ * every cycle it runs; dead-cycle skipping (Core::run) jumps only to a
+ * cycle no later than nextDue(), so no due bucket is ever passed over.
+ * Events scheduled for the current or a past cycle fire on the next
+ * drain (the multimap behaved the same way: completeStage had already
+ * run by the time issue inserted them).
+ *
+ * An occupancy bit per bucket lets nextDue() find the earliest pending
+ * event without walking empty buckets.
  */
 
 #ifndef SVW_CPU_COMPLETION_WHEEL_HH
 #define SVW_CPU_COMPLETION_WHEEL_HH
 
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <vector>
 
@@ -43,7 +50,8 @@ class CompletionWheel
     /** @p horizon must be a power of two and exceed the largest common
      * scheduling delta (larger deltas still work via overflow). */
     explicit CompletionWheel(std::size_t horizon = 1024)
-        : mask(horizon - 1), buckets(horizon)
+        : mask(horizon - 1), buckets(horizon),
+          occupied((horizon + 63) / 64, 0)
     {
         svw_assert(horizon > 1 && (horizon & (horizon - 1)) == 0,
                    "wheel horizon must be a power of two");
@@ -55,15 +63,47 @@ class CompletionWheel
     {
         if (due <= now)
             due = now + 1;
-        if (due - now <= mask)
-            buckets[due & mask].push_back(item);
-        else
+        if (due - now <= mask) {
+            const std::size_t b = due & mask;
+            buckets[b].push_back(item);
+            occupied[b >> 6] |= std::uint64_t(1) << (b & 63);
+        } else {
             overflow.emplace(due, item);
+        }
         ++pending;
     }
 
     bool empty() const { return pending == 0; }
     std::size_t size() const { return pending; }
+
+    /**
+     * Earliest due cycle of any pending event, or ~Cycle(0) when none.
+     * @p now is the next cycle to be drained: every pending in-wheel
+     * event is due within [now, now + horizon), so its bucket's offset
+     * from `now & mask` is its distance in cycles.
+     */
+    Cycle nextDue(Cycle now) const
+    {
+        Cycle due = overflow.empty() ? ~Cycle(0) : overflow.begin()->first;
+        const std::size_t start = now & mask;
+        const std::size_t words = occupied.size();
+        std::size_t wi = start >> 6;
+        std::uint64_t w = occupied[wi] & (~std::uint64_t(0) << (start & 63));
+        // Walk the words once around from the start bucket; the start
+        // word is revisited last for the buckets before `start`.
+        for (std::size_t k = 0; k <= words; ++k) {
+            if (w) {
+                const std::size_t b = (wi << 6) + std::countr_zero(w);
+                const Cycle c = now + ((b - start) & mask);
+                return c < due ? c : due;
+            }
+            wi = wi + 1 == words ? 0 : wi + 1;
+            w = occupied[wi];
+            if (k + 1 == words)
+                w &= (std::uint64_t(1) << (start & 63)) - 1;
+        }
+        return due;
+    }
 
     /**
      * Fire every event due at (or before) @p now, in insertion order,
@@ -89,11 +129,14 @@ class CompletionWheel
         for (const T &item : bucket)
             fn(item);
         bucket.clear();
+        const std::size_t b = now & mask;
+        occupied[b >> 6] &= ~(std::uint64_t(1) << (b & 63));
     }
 
   private:
     std::size_t mask;
     std::vector<std::vector<T>> buckets;
+    std::vector<std::uint64_t> occupied;  ///< one bit per non-empty bucket
     std::multimap<Cycle, T> overflow;
     std::size_t pending = 0;
 };

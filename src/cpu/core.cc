@@ -45,7 +45,7 @@ Core::Core(const CoreParams &p, const Program &program,
              // (RLE checkpoint recovery).
              2 * p.robEntries),
       rob(p.robEntries),
-      iq(p.iqEntries),
+      iq(p.iqEntries, rob, p.numPhysRegs),
       svw(p.svw, reg),
       lsu(p.lsu, committedMem, svw, reg),
       rex(p.rex, committedMem, svw, dcachePort, reg),
@@ -100,6 +100,8 @@ Core::run(std::uint64_t maxInsts, std::uint64_t maxCycles)
     while (!haltCommitted && retired.value() < maxInsts &&
            now < maxCycles) {
         tick();
+        if (!perCycleHook && retired.value() < maxInsts)
+            skipDeadCycles(maxCycles);
     }
     RunOutcome out;
     out.halted = haltCommitted;
@@ -155,6 +157,128 @@ Core::tickBody()
     ++hot.cycles;
 }
 
+// --------------------------------------------------------------------
+// Dead-cycle skipping (docs/ARCHITECTURE.md "Dead-cycle skipping").
+// --------------------------------------------------------------------
+
+bool
+Core::dispatchCanAct(const DynInst &d) const
+{
+    // dispatchOne's resource checks, in its order: a check that fails
+    // with no side effect leaves dispatch idle until another stage
+    // changes the resource; anything else (an FSQ-full stall, which
+    // counts, a wrap drain starting, RLE integration or pressure
+    // relief, or a dispatch) is activity.
+    if (rob.full())
+        return false;
+    const bool trivial = d.cls() == InstClass::Nop ||
+        d.cls() == InstClass::Halt;
+    if (!trivial && iq.full())
+        return false;
+    if (d.isLoad() && lsu.lqFull())
+        return false;
+    if (d.isStore()) {
+        if (lsu.sqFull())
+            return false;
+        return true;  // FSQ stall, wrap drain, or dispatch
+    }
+    if (rle.enabled())
+        return true;
+    return !(d.writesReg() && !rename.hasFreeReg());
+}
+
+Cycle
+Core::idleUntil(bool &rexBufferStall) const
+{
+    constexpr Cycle never = ~Cycle(0);
+    // Issue: an awake slot is visited (and may poll) this cycle.
+    if (iq.anyAwake())
+        return now;
+    Cycle t = never;
+    auto until = [&](Cycle c) {
+        if (c < t)
+            t = c;
+    };
+
+    // Fetch.
+    if (!haltCommitted && !fetchStopped && !fetchQueue.full()) {
+        if (fetchResumeCycle <= now)
+            return now;
+        until(fetchResumeCycle);
+    }
+
+    // Commit: the head's own timing, when nothing else gates it.
+    const bool rexOn = prm.rex.enabled;
+    if (!rob.empty()) {
+        const DynInst &d = rob.head();
+        if (d.completed && (!rexOn || d.rexProcessed)) {
+            Cycle c = d.completeCycle + prm.rexTransit;
+            if (rexOn && d.isLoad() && d.marked())
+                c = std::max(c, d.rexDone ? d.rexDoneCycle : never);
+            if (rexOn && d.isStore())
+                c = std::max(c, rex.storeCommitReadyCycle(d));
+            if (c <= now)
+                return now;
+            until(c);
+        }
+    }
+
+    // Dispatch.
+    if (drainPending) {
+        if (rob.empty())
+            return now;
+        // Otherwise it only counts wrapDrainCycles (skipDeadCycles).
+    } else if (!fetchQueue.empty()) {
+        const DynInst &h = fetchQueue.front();
+        if (h.fetchReadyCycle > now)
+            until(h.fetchReadyCycle);
+        else if (dispatchCanAct(h))
+            return now;
+    }
+
+    // Complete: the wheel, then the register-timed lists. A stale
+    // entry would be dropped (and the list reordered) this cycle.
+    until(completionQueue.nextDue(now));
+    const PhysRegFile &regs = rename.regs();
+    for (const RobRef &r : storesAwaitingData) {
+        const DynInst *st = rob.resolve(r);
+        if (!st)
+            return now;
+        until(regs.readyAt(st->prs2));
+    }
+    for (const RobRef &r : elimPending) {
+        const DynInst *inst = rob.resolve(r);
+        if (!inst)
+            return now;
+        until(regs.readyAt(inst->prd));
+    }
+
+    // Rex, then the IQ's recorded wakes.
+    until(rex.idleUntil(rob, rename, now, rexBufferStall));
+    until(iq.nextWake(now));
+    return t <= now ? now : t;
+}
+
+void
+Core::skipDeadCycles(Cycle limit)
+{
+    if (haltCommitted)
+        return;
+    bool rexBufferStall = false;
+    const Cycle t = std::min(idleUntil(rexBufferStall), limit);
+    if (t <= now)
+        return;
+    const Cycle skipped = t - now;
+    hot.cycles += skipped;
+    if (drainPending)
+        hot.wrapDrainCycles += skipped;
+    if (rexBufferStall)
+        rex.countStoreBufferStalls(skipped);
+    if (stageProf)
+        stageProf->ticks += skipped;
+    now = t;
+}
+
 template <typename F>
 void
 Core::timed(prof::Stage s, F &&f)
@@ -175,8 +299,8 @@ Core::timed(prof::Stage s, F &&f)
 void
 Core::drainCompletions()
 {
-    completionQueue.drain(now, [this](InstSeqNum seq) {
-        DynInst *inst = rob.findBySeq(seq);
+    completionQueue.drain(now, [this](const RobRef &ref) {
+        DynInst *inst = rob.resolve(ref);
         if (!inst)
             return;  // squashed
         inst->completed = true;
@@ -194,7 +318,7 @@ Core::completeStage()
 
     // Stores whose address issued early capture data as it arrives.
     for (std::size_t i = 0; i < storesAwaitingData.size();) {
-        DynInst *st = rob.findBySeq(storesAwaitingData[i]);
+        DynInst *st = rob.resolve(storesAwaitingData[i]);
         if (!st) {
             storesAwaitingData[i] = storesAwaitingData.back();
             storesAwaitingData.pop_back();
@@ -211,7 +335,7 @@ Core::completeStage()
 
     // Eliminated instructions complete when their shared register does.
     for (std::size_t i = 0; i < elimPending.size();) {
-        DynInst *inst = rob.findBySeq(elimPending[i]);
+        DynInst *inst = rob.resolve(elimPending[i]);
         if (!inst) {
             elimPending[i] = elimPending.back();
             elimPending.pop_back();
@@ -234,7 +358,7 @@ Core::captureStoreData(DynInst &store)
     store.storeData = srcVal(store.prs2);
     store.dataResolved = true;
     store.completeCycle = now + 1;
-    completionQueue.schedule(now, now + 1, store.seq);
+    completionQueue.schedule(now, now + 1, ROB::ref(store));
     lsu.storeDataReady(store);
 }
 
@@ -289,57 +413,52 @@ Core::issueStage()
         return true;
     };
 
-    // In-place oldest-first scan: issue tombstones the slot under the
-    // scan (indices never shift mid-cycle; squash only pops the young
-    // suffix, and the scan breaks right after any squash). Sleep state,
-    // issue class, and the gating renamed sources are read from the
-    // compact IQ entry mirror; the DynInst itself is touched only when
-    // every register gate passes and the entry might really issue.
-    // nextAwake reads the live bitmap, so consumers woken by an issue
-    // earlier in this very scan (always at higher slots: age order)
-    // are visited this cycle, exactly like the full walk.
-    for (std::size_t idx = iq.nextAwake(0); idx != IssueQueue::npos;
-         idx = iq.nextAwake(idx + 1)) {
+    // In-place oldest-first scan over the ROB-slot-keyed IQ: issue
+    // clears the slot under the scan (slots never move; squash only
+    // clears the young suffix, and the scan breaks right after any
+    // squash). Sleep state, issue class, and the gating renamed sources
+    // are read from the compact IQ entry mirror; the DynInst itself is
+    // touched only when every register gate passes and the entry might
+    // really issue. visit() returns false to end the scan.
+    auto visit = [&](std::size_t idx) {
         if (globalUsed >= prm.issueWidth)
-            break;
+            return false;
         if (intUsed >= prm.intIssue && loadUsed >= prm.loadIssue &&
             storeUsed >= storeWidth && branchUsed >= prm.branchIssue) {
-            break;  // every class cap saturated: nothing more can issue
+            return false;  // every class cap saturated: nothing more can issue
         }
         IssueQueue::Entry &e = iq.slotRef(idx);
-        if (!e.inst)
-            continue;  // tombstone
         if (e.sleepRetry > now) {
             // Spuriously woken (stale record): value still in flight;
             // go back to sleep on the recorded arrival cycle.
             iq.noteAsleep(idx, now);
-            continue;
+            return true;
         }
         if (e.sleepReg != invalidPhysReg &&
             rename.regs().readyAt(e.sleepReg) == notReady) {
             // Spuriously woken: the blocking source's producer is
             // still unissued; re-arm on that register.
             iq.noteAsleep(idx, now);
-            continue;
+            return true;
         }
         // A capped class would fail tryIssue's first check; skip the
         // call (and the DynInst access) outright.
         switch (e.clsGroup) {
           case IssueQueue::ClsInt:
             if (intUsed >= prm.intIssue)
-                continue;
+                return true;
             break;
           case IssueQueue::ClsBranch:
             if (branchUsed >= prm.branchIssue)
-                continue;
+                return true;
             break;
           case IssueQueue::ClsLoad:
             if (loadUsed >= prm.loadIssue)
-                continue;
+                return true;
             break;
           case IssueQueue::ClsStore:
             if (storeUsed >= storeWidth)
-                continue;
+                return true;
             break;
         }
         // Source-readiness gates, evaluated on the entry's prs1/prs2
@@ -348,36 +467,57 @@ Core::issueStage()
         // untouched.
         if ((e.gates & IssueQueue::GateRs1) && entryBlocked(e, e.prs1)) {
             iq.noteAsleep(idx, now);
-            continue;
+            return true;
         }
         if ((e.gates & IssueQueue::GateRs2) && entryBlocked(e, e.prs2)) {
             iq.noteAsleep(idx, now);
-            continue;
+            return true;
         }
         DynInst *inst = e.inst;
-        if (inst->issued)
-            continue;
         const std::uint64_t squashesBefore =
             hot.branchSquashes + hot.orderingSquashes;
-        if (tryIssue(*inst, intUsed, loadUsed, storeUsed, branchUsed)) {
+        const DynInst *setBlocker = nullptr;
+        if (tryIssue(*inst, intUsed, loadUsed, storeUsed, branchUsed,
+                     setBlocker)) {
             ++globalUsed;
             iq.removeAt(idx);
             if (tracer)
                 tracer->event(now, TraceEvent::Issue, *inst);
+        } else if (setBlocker) {
+            // Store-set wait: nothing changes until the awaited store
+            // issues, which wakes this entry (issueStore).
+            iq.sleepOnStore(idx, rob.slotOf(*setBlocker));
         }
-        // Every register gate passed, so a failure has no recorded
-        // wake (port conflict, store-set wait, partial overlap): the
-        // entry keeps its awake bit and is re-polled every cycle.
+        // Any other failure has no recorded wake (port conflict,
+        // partial overlap): the entry keeps its awake bit and is
+        // re-polled every cycle.
         // A store issue may have triggered an ordering squash that
         // invalidated the scan; stop for this cycle.
-        if (hot.branchSquashes + hot.orderingSquashes != squashesBefore)
-            break;
+        return hot.branchSquashes + hot.orderingSquashes == squashesBefore;
+    };
+
+    // Age order is ring order from the ROB head: slots [head, n), then
+    // the wrapped [0, head). findAwake reads the live bitmap, and a
+    // mid-scan wake (an issuing producer's consumers, an issuing
+    // store's store-set waiters) only ever targets a younger entry, a
+    // later slot in this order, so the same scan still visits it,
+    // exactly like the full walk. Commit never runs mid-scan, so the
+    // head is fixed while it runs.
+    const std::size_t head = rob.headSlot();
+    const std::size_t segments[2][2] = {{head, iq.slotCount()}, {0, head}};
+    for (const auto &[lo, hi] : segments) {
+        for (std::size_t idx = iq.findAwake(lo, hi);
+             idx != IssueQueue::npos; idx = iq.findAwake(idx + 1, hi)) {
+            if (!visit(idx))
+                return;
+        }
     }
 }
 
 bool
 Core::tryIssue(DynInst &inst, unsigned &intUsed, unsigned &loadUsed,
-               unsigned &storeUsed, unsigned &branchUsed)
+               unsigned &storeUsed, unsigned &branchUsed,
+               const DynInst *&setBlocker)
 {
     const StaticInst &si = *inst.si;
 
@@ -400,7 +540,7 @@ Core::tryIssue(DynInst &inst, unsigned &intUsed, unsigned &loadUsed,
         }
         inst.issued = true;
         inst.completeCycle = done;
-        completionQueue.schedule(now, done, inst.seq);
+        completionQueue.schedule(now, done, ROB::ref(inst));
         ++intUsed;
         return true;
       }
@@ -432,7 +572,7 @@ Core::tryIssue(DynInst &inst, unsigned &intUsed, unsigned &loadUsed,
         }
         inst.issued = true;
         inst.completeCycle = now + 1;
-        completionQueue.schedule(now, now + 1, inst.seq);
+        completionQueue.schedule(now, now + 1, ROB::ref(inst));
         ++branchUsed;
         return true;
       }
@@ -444,9 +584,11 @@ Core::tryIssue(DynInst &inst, unsigned &intUsed, unsigned &loadUsed,
             return false;
         // Store-sets: wait for the predicted-conflicting store.
         if (inst.storeSetDep != 0) {
-            DynInst *dep = rob.findBySeq(inst.storeSetDep);
-            if (dep && !dep->addrResolved)
+            const DynInst *dep = rob.findBySeq(inst.storeSetDep);
+            if (dep && !dep->addrResolved) {
+                setBlocker = dep;
                 return false;
+            }
         }
         inst.addr = effectiveAddr(si, srcVal(inst.prs1));
         const unsigned bank = mem.dataBank(inst.addr);
@@ -470,9 +612,11 @@ Core::tryIssue(DynInst &inst, unsigned &intUsed, unsigned &loadUsed,
         if (!srcReady(inst.prs1))
             return false;
         if (inst.storeSetDep != 0) {
-            DynInst *dep = rob.findBySeq(inst.storeSetDep);
-            if (dep && !dep->addrResolved)
+            const DynInst *dep = rob.findBySeq(inst.storeSetDep);
+            if (dep && !dep->addrResolved) {
+                setBlocker = dep;
                 return false;
+            }
         }
         issueStore(inst);
         ++storeUsed;
@@ -513,7 +657,7 @@ Core::issueLoad(DynInst &load)
         rename.regs().setValue(load.prd, load.loadValue);
         noteReadyAt(load.prd, done);
     }
-    completionQueue.schedule(now, done, load.seq);
+    completionQueue.schedule(now, done, ROB::ref(load));
 }
 
 void
@@ -523,11 +667,13 @@ Core::issueStore(DynInst &store)
     store.addrResolved = true;
     store.issued = true;
     storeSets.storeResolved(store.pc, store.seq);
+    // Store-set waiters (younger, so later in this scan) may now issue.
+    iq.wakeStoreWaiters(rob.slotOf(store));
 
     if (srcReady(store.prs2)) {
         captureStoreData(store);
     } else {
-        storesAwaitingData.push_back(store.seq);
+        storesAwaitingData.push_back(ROB::ref(store));
     }
 
     InstSeqNum victim = 0;
@@ -694,7 +840,7 @@ Core::dispatchOne(DynInst &d, const DynInstCold &cold)
         lsu.dispatchStore(r);
 
     if (r.eliminated) {
-        elimPending.push_back(r.seq);
+        elimPending.push_back(ROB::ref(r));
     } else {
         if (!trivial) {
             iq.insert(&r);
@@ -757,7 +903,7 @@ Core::squashAfter(InstSeqNum keepSeq, std::uint64_t newFetchPc,
         // The store-set LFST claims of squashed stores must still be
         // released one by one; the squashed stores are exactly the SQ's
         // age-ordered suffix, released youngest-first like the walk.
-        const auto &sq = lsu.storeQueue();
+        const auto sq = lsu.storeQueue();
         for (std::size_t i = sq.size(); i-- > 0 && sq[i]->seq > keepSeq;)
             storeSets.storeSquashed(sq[i]->pc, sq[i]->seq);
     }

@@ -104,10 +104,15 @@ class Core
     Core(const CoreParams &params, const Program &prog,
          stats::StatRegistry &reg);
 
-    /** Run until Halt commits or a cap is reached. */
+    /**
+     * Run until Halt commits or a cap is reached. Without a
+     * perCycleHook, runs of dead cycles are skipped in one step
+     * (skipDeadCycles); cycles and every stat come out identical.
+     */
     RunOutcome run(std::uint64_t maxInsts, std::uint64_t maxCycles);
 
-    /** Advance a single cycle (exposed for tests and injectors). */
+    /** Advance a single cycle (exposed for tests and injectors). Never
+     * skips: a caller stepping tick() sees every cycle. */
     void tick();
 
     bool halted() const { return haltCommitted; }
@@ -151,7 +156,9 @@ class Core
      */
     void externalStore(Addr addr, unsigned size, std::uint64_t value);
 
-    /** Hook invoked at the top of every cycle (invalidation injectors). */
+    /** Hook invoked at the top of every cycle (invalidation injectors).
+     * Setting one turns dead-cycle skipping off: the hook may act in
+     * any cycle. */
     std::function<void(Core &)> perCycleHook;
 
     /** Attach (or detach, with nullptr) a pipeline event tracer. */
@@ -213,8 +220,11 @@ class Core
 
     // --- helpers -------------------------------------------------------
     bool dispatchOne(DynInst &inst, const DynInstCold &cold);
+    /** Issue @p inst if its class, ports and ordering allow. On a
+     * store-set wait, @p setBlocker is set to the awaited store. */
     bool tryIssue(DynInst &inst, unsigned &intUsed, unsigned &loadUsed,
-                  unsigned &storeUsed, unsigned &branchUsed);
+                  unsigned &storeUsed, unsigned &branchUsed,
+                  const DynInst *&setBlocker);
     void issueLoad(DynInst &load);
     void issueStore(DynInst &store);
     void captureStoreData(DynInst &store);
@@ -230,6 +240,21 @@ class Core
 
     void handleRexFailure(DynInst &load);
 
+    /**
+     * Dead-cycle skipping. idleUntil() returns the earliest cycle at or
+     * after `now` at which commit, rex, complete, issue, dispatch or
+     * fetch can change any state (or count any stat other than the
+     * per-cycle stall counters it reports). Every cycle before it runs
+     * the same early-outs on the same state, so skipDeadCycles advances
+     * `now` there in one step and adds the skipped cycles to exactly
+     * the counters those cycles would have bumped. See
+     * docs/ARCHITECTURE.md "Dead-cycle skipping".
+     */
+    Cycle idleUntil(bool &rexBufferStall) const;
+    /** Whether dispatchOne would change state (or count a stall) for
+     * the ready fetch-queue head @p d; mirrors its check order. */
+    bool dispatchCanAct(const DynInst &d) const;
+    void skipDeadCycles(Cycle limit);
     /** Read a source operand value. */
     std::uint64_t srcVal(PhysRegIndex p) const
     {
@@ -242,13 +267,14 @@ class Core
     }
 
     /** A register became schedulable: record the arrival cycle and
-     * wake the IQ entries sleeping on @p p (this is the only operation
-     * that moves a register out of notReady, so firing the waiter list
-     * here is an exact replacement for re-screening every cycle). */
+     * move the IQ entries sleeping on @p p onto the wake wheel at @p c
+     * (this is the only operation that moves a register out of
+     * notReady, and no waiter can pass its gate before @p c, so this is
+     * an exact replacement for re-screening every cycle). */
     void noteReadyAt(PhysRegIndex p, Cycle c)
     {
         rename.regs().setReadyAt(p, c);
-        iq.wakeReg(p);
+        iq.wakeReg(p, c, now);
     }
 
     CoreParams prm;
@@ -309,12 +335,13 @@ class Core
     std::unordered_map<std::uint64_t, unsigned> replaceFlushStreak;
     static constexpr unsigned replaceStreakLimit = 2;
 
-    // Completion bookkeeping. Squash does not prune the wheel: stale
-    // events miss their findBySeq at drain time and are skipped.
-    CompletionWheel<InstSeqNum> completionQueue;
-    std::vector<InstSeqNum> elimPending;  ///< eliminated insts awaiting
-                                          ///< their shared register
-    std::vector<InstSeqNum> storesAwaitingData;
+    // Completion bookkeeping, by ROB slot. Squash does not prune these:
+    // a stale reference fails ROB::resolve (its slot left the window or
+    // holds a younger seq) and is skipped.
+    CompletionWheel<RobRef> completionQueue;
+    std::vector<RobRef> elimPending;  ///< eliminated insts awaiting
+                                      ///< their shared register
+    std::vector<RobRef> storesAwaitingData;
 
     /** Architectural rename map, updated at commit (golden compare). */
     std::array<PhysRegIndex, numArchRegs> archMap{};

@@ -1,45 +1,34 @@
 #include "cpu/iq.hh"
 
-#include <algorithm>
-
 namespace svw {
+
+IssueQueue::IssueQueue(unsigned capacity, const ROB &robRef,
+                       unsigned numPhysRegs)
+    : rob(robRef),
+      cap(capacity),
+      entries_(robRef.ringSlots()),
+      awake_((robRef.ringSlots() + 63) / 64, 0),
+      regWaiters_(numPhysRegs),
+      storeWaiters_(robRef.ringSlots())
+{
+}
 
 void
 IssueQueue::squashAfter(InstSeqNum keepSeq)
 {
-    // Squashed entries are the age-ordered suffix; dead tombstones in
-    // that suffix go with them.
-    while (!entries_.empty() &&
-           (!entries_.back().inst || entries_.back().seq > keepSeq)) {
-        if (entries_.back().inst)
+    // The squashed instructions are the ROB's age-ordered suffix; clear
+    // their slots (trivial and eliminated ones never entered the IQ and
+    // issued ones already left it, so those slots are empty). Wake
+    // records naming them now fail validation and just drop.
+    const std::size_t n = rob.youngerThan(keepSeq);
+    for (std::size_t i = rob.size() - n; i < rob.size(); ++i) {
+        const std::size_t idx = rob.slotAt(i);
+        if (entries_[idx].inst) {
+            entries_[idx].inst = nullptr;
             --live;
-        entries_.pop_back();
+            clearAwake(idx);
+        }
     }
-    // Clear awake bits past the new end (the slots no longer exist);
-    // wake records for them now fail seq validation and just drop.
-    const std::size_t n = entries_.size();
-    std::size_t wi = n >> 6;
-    if (wi < awake_.size()) {
-        awake_[wi] &= (n & 63)
-            ? (std::uint64_t(1) << (n & 63)) - 1 : 0;
-        while (++wi < awake_.size())
-            awake_[wi] = 0;
-    }
-}
-
-void
-IssueQueue::compact()
-{
-    entries_.erase(std::remove_if(entries_.begin(), entries_.end(),
-                                  [](const Entry &e) { return !e.inst; }),
-                   entries_.end());
-    // Indices shifted: outstanding wake records are stale (validation
-    // drops them). Mark every survivor awake so the next scan
-    // re-screens and re-arms each sleeper under its new index.
-    const std::size_t n = entries_.size();
-    awake_.assign((n + 63) >> 6, ~std::uint64_t(0));
-    if (n & 63)
-        awake_.back() = (std::uint64_t(1) << (n & 63)) - 1;
 }
 
 } // namespace svw

@@ -1,34 +1,46 @@
 /**
  * @file
- * Issue queue: holds dispatched, un-issued instructions in age order;
- * the scheduler scans it oldest-first each cycle.
+ * Issue queue: holds dispatched, un-issued instructions; the scheduler
+ * scans it oldest-first each cycle.
  *
- * Entries carry a raw DynInst pointer: ROB ring slots are stable for an
- * entry's lifetime, and the core prunes the IQ before popping squashed
- * ROB entries.
- *
- * The scheduler iterates the slot array in place (no per-cycle snapshot
- * copy). Issue removal tombstones the slot (inst = nullptr); compaction
- * is deferred to insert time, so slot indices never shift while the
- * issue scan is live. Squash only pops from the back (squashed entries
- * are the age-ordered suffix), which also leaves earlier indices intact.
+ * Slots are keyed by ROB ring slot: an instruction's IQ entry lives at
+ * the index of its ROB slot, which is stable for the entry's lifetime,
+ * and age order is ring order starting at the ROB head. Issue clears
+ * the slot in place and squash clears the squashed suffix's slots, so
+ * nothing is ever compacted and no entry's index ever shifts. (The
+ * entry still carries its DynInst pointer and seq: the pointer saves
+ * the scan a ROB access, the seq validates wake records.)
  *
  * Wakeup-driven scan (host-side only — issue decisions are bit-exact
  * with a full walk): an "awake" bitmap marks the slots the scan must
  * visit. A sleeping entry's wake condition is exact, so it leaves the
- * bitmap and is re-armed through one of two structures:
+ * bitmap and is re-armed through one of three structures:
  *
  *  - sleepRetry = r (producer issued, value due at r): a time wheel
  *    sets the bit again at exactly cycle r (drainWakes).
  *  - sleepReg = p (producer un-issued, readyAt == notReady): a
- *    per-register waiter list, fired by the core's noteReadyAt — the
- *    only operation that ever moves a register out of notReady.
+ *    per-register waiter list. The core's noteReadyAt — the only
+ *    operation that ever moves a register out of notReady — hands the
+ *    list to wakeReg, which moves each waiter straight onto the time
+ *    wheel at the value's arrival cycle (nothing can issue earlier).
+ *  - a store-set wait (every register gate passed, but the predicted
+ *    conflicting store has not resolved its address): a per-ROB-slot
+ *    waiter list, fired by the core when that store issues. The fire
+ *    happens mid-scan, and the waiter is younger than the store, so the
+ *    same scan still reaches it — the same-cycle issue behind the store
+ *    is kept.
  *
  * Wake records carry {slot, seq} and are validated when they fire, so
- * records left stale by a squash or compaction are simply dropped; a
- * spurious wake only makes the scan re-screen (pure reads) and re-arm.
- * Missed wakes cannot happen: the two conditions above are the only
- * ways a sleeping entry's screen can start passing.
+ * records left stale by a squash are simply dropped; a spurious wake
+ * only makes the scan re-screen (pure reads) and re-arm. Missed wakes
+ * cannot happen: the conditions above are the only ways a sleeping
+ * entry's screen can start passing.
+ *
+ * Entries that still poll (stay awake after a failed visit): those
+ * skipped because their issue class was already saturated this cycle,
+ * and those that passed every gate but failed in tryIssue for a reason
+ * with no recorded wake — a load-bank or FSQ port taken this cycle, or
+ * a partial store overlap (lsu.partialBlocks counts each retry).
  */
 
 #ifndef SVW_CPU_IQ_HH
@@ -40,6 +52,7 @@
 #include "base/types.hh"
 #include "cpu/completion_wheel.hh"
 #include "cpu/dyninst.hh"
+#include "cpu/rob.hh"
 
 namespace svw {
 
@@ -73,14 +86,14 @@ class IssueQueue
      * scan-relevant DynInst fact (class group, issue-gating renamed
      * sources at insert; sleep state after every failed wakeup check)
      * so the per-cycle scan — including the failed-issue path — runs
-     * entirely over this compact sequential array and touches the
-     * two-cache-line DynInst only when an entry actually issues (or
-     * fails for a non-register reason: port conflict, store-set wait).
+     * entirely over this compact array and touches the two-cache-line
+     * DynInst only when an entry actually issues (or fails for a
+     * non-register reason: port conflict, store-set wait).
      */
     struct Entry
     {
         InstSeqNum seq;
-        DynInst *inst;  ///< nullptr = tombstone (already issued)
+        DynInst *inst;  ///< nullptr = empty slot
         Cycle sleepRetry;        ///< earliest possible issue cycle
         PhysRegIndex sleepReg;   ///< unissued-producer blocking register
         PhysRegIndex prs1;       ///< mirror of DynInst::prs1
@@ -89,7 +102,9 @@ class IssueQueue
         std::uint8_t gates;      ///< GateBit mask of issue-gating sources
     };
 
-    explicit IssueQueue(unsigned capacity) : cap(capacity) {}
+    /** @p rob supplies the slot keying (ring size, slots, head); the
+     * per-register waiter lists are sized for @p numPhysRegs. */
+    IssueQueue(unsigned capacity, const ROB &rob, unsigned numPhysRegs);
 
     bool full() const { return live >= cap; }
     std::size_t size() const { return live; }
@@ -124,60 +139,57 @@ class IssueQueue
         return g;
     }
 
+    /** Enter @p inst, a live ROB entry, at its ROB slot (awake). */
     void insert(DynInst *inst)
     {
-        // Deferred compaction: reclaim tombstones outside the issue
-        // scan (dispatch never runs mid-scan).
-        if (entries_.size() - live > compactThreshold)
-            compact();
-        entries_.push_back(Entry{inst->seq, inst, 0, invalidPhysReg,
-                                 inst->prs1, inst->prs2,
-                                 classGroup(*inst), gateMask(*inst)});
+        const std::size_t idx = rob.slotOf(*inst);
+        entries_[idx] = Entry{inst->seq, inst, 0, invalidPhysReg,
+                              inst->prs1, inst->prs2,
+                              classGroup(*inst), gateMask(*inst)};
         ++live;
-        const std::size_t idx = entries_.size() - 1;
-        if ((idx >> 6) >= awake_.size())
-            awake_.push_back(0);
-        awake_[idx >> 6] |= std::uint64_t(1) << (idx & 63);
+        setAwake(idx);
     }
 
-    /** Number of slots to scan (live entries + tombstones). */
+    /** Number of slots (the ROB ring size). */
     std::size_t slotCount() const { return entries_.size(); }
 
-    /** Slot @p idx; check .inst for nullptr (tombstone). */
+    /** Slot @p idx; check .inst for nullptr (empty). */
     const Entry &slot(std::size_t idx) const { return entries_[idx]; }
 
     /** Mutable slot access (the scan refreshes the sleep mirror). */
     Entry &slotRef(std::size_t idx) { return entries_[idx]; }
 
-    /** Tombstone the (live) entry at slot @p idx after it issued. */
+    /** Clear the (live) entry at slot @p idx after it issued. */
     void removeAt(std::size_t idx)
     {
         entries_[idx].inst = nullptr;
         --live;
-        awake_[idx >> 6] &= ~(std::uint64_t(1) << (idx & 63));
+        clearAwake(idx);
     }
 
     static constexpr std::size_t npos = ~std::size_t(0);
 
     /**
-     * Next awake slot at index >= @p from (npos when none). Reads the
-     * live bitmap, not a snapshot: a producer issuing at slot i wakes
-     * its consumers' (strictly higher, age order) slots mid-scan, and
-     * the same scan visits them — exactly like the screened full walk.
+     * First awake slot in [@p lo, @p hi), or npos. Reads the live
+     * bitmap, not a snapshot: the scan walks ring order from the ROB
+     * head (two linear ranges), and a producer issuing mid-scan wakes
+     * its consumers' (strictly younger, so later) slots, which the same
+     * scan then visits — exactly like the screened full walk.
      */
-    std::size_t nextAwake(std::size_t from) const
+    std::size_t findAwake(std::size_t lo, std::size_t hi) const
     {
-        std::size_t wi = from >> 6;
-        if (wi >= awake_.size())
+        if (lo >= hi)
             return npos;
-        std::uint64_t w = awake_[wi] &
-                          (~std::uint64_t(0) << (from & 63));
+        std::size_t wi = lo >> 6;
+        const std::size_t last = (hi - 1) >> 6;
+        std::uint64_t w = awake_[wi] & (~std::uint64_t(0) << (lo & 63));
         while (!w) {
-            if (++wi >= awake_.size())
+            if (++wi > last)
                 return npos;
             w = awake_[wi];
         }
-        return (wi << 6) + std::countr_zero(w);
+        const std::size_t r = (wi << 6) + std::countr_zero(w);
+        return r < hi ? r : npos;
     }
 
     /**
@@ -190,77 +202,126 @@ class IssueQueue
     void noteAsleep(std::size_t idx, Cycle now)
     {
         const Entry &e = entries_[idx];
-        awake_[idx >> 6] &= ~(std::uint64_t(1) << (idx & 63));
+        clearAwake(idx);
         const WakeRec rec{e.seq, static_cast<std::uint32_t>(idx)};
-        if (e.sleepReg != invalidPhysReg) {
-            if (regWaiters_.size() <= std::size_t(e.sleepReg))
-                regWaiters_.resize(std::size_t(e.sleepReg) + 1);
+        if (e.sleepReg != invalidPhysReg)
             regWaiters_[e.sleepReg].push_back(rec);
-        } else {
+        else
             wakeWheel_.schedule(now, e.sleepRetry, rec);
-        }
     }
 
-    /** Fire every wheel record due at cycle @p now. Must run once per
-     * cycle (the wheel's drain contract). Firing order is immaterial:
-     * a validated wake only sets an awake bit. */
+    /** Slot @p idx passed every register gate but waits for the store
+     * in ROB slot @p storeSlot to resolve its address (store sets). */
+    void sleepOnStore(std::size_t idx, std::size_t storeSlot)
+    {
+        clearAwake(idx);
+        storeWaiters_[storeSlot].push_back(
+            WakeRec{entries_[idx].seq, static_cast<std::uint32_t>(idx)});
+    }
+
+    /** The store in ROB slot @p storeSlot resolved its address: wake
+     * the entries waiting on it (mid-scan; see the file comment). */
+    void wakeStoreWaiters(std::size_t storeSlot)
+    {
+        auto &list = storeWaiters_[storeSlot];
+        if (list.empty())
+            return;
+        for (const WakeRec &r : list)
+            wakeValidated(r);
+        list.clear();
+    }
+
+    /** Fire every wheel record due at cycle @p now. Must run for every
+     * cycle that has a record due (CompletionWheel's drain contract).
+     * Firing order is immaterial: a validated wake only sets a bit. */
     void drainWakes(Cycle now)
     {
         wakeWheel_.drain(now,
                          [this](const WakeRec &r) { wakeValidated(r); });
     }
 
-    /** Register @p p left notReady (its producer issued): wake the
-     * entries sleeping on it. */
-    void wakeReg(PhysRegIndex p)
+    /**
+     * Register @p p left notReady at cycle @p now: its value arrives at
+     * @p readyAt. The entries sleeping on it cannot pass that gate
+     * before then, so each goes straight onto the time wheel for
+     * @p readyAt (or wakes now if the value is already there).
+     */
+    void wakeReg(PhysRegIndex p, Cycle readyAt, Cycle now)
     {
-        if (std::size_t(p) >= regWaiters_.size())
-            return;
         auto &list = regWaiters_[p];
-        if (!list.empty()) {
-            for (const WakeRec &r : list)
-                wakeValidated(r);
-            list.clear();
+        if (list.empty())
+            return;
+        for (const WakeRec &r : list) {
+            if (!validRec(r))
+                continue;
+            if (readyAt <= now)
+                setAwake(r.idx);
+            else
+                wakeWheel_.schedule(now, readyAt, r);
         }
+        list.clear();
     }
 
     /** Drop all entries with seq > @p keepSeq (squash). Must run before
-     * the ROB discards the squashed instructions. Only pops from the
-     * back: surviving slot indices are unchanged. */
+     * the ROB discards the squashed instructions: the squashed entries
+     * are exactly the ROB's squashed suffix, whose slots it clears. */
     void squashAfter(InstSeqNum keepSeq);
+
+    // --- dead-cycle skipping (Core::run) ---------------------------------
+    /** Whether some slot will be visited by the next scan. */
+    bool anyAwake() const
+    {
+        for (const std::uint64_t w : awake_)
+            if (w)
+                return true;
+        return false;
+    }
+
+    /** Earliest cycle a wheel record fires (~Cycle(0) if none). */
+    Cycle nextWake(Cycle now) const { return wakeWheel_.nextDue(now); }
 
   private:
     /** A pending wake for slot @p idx; @p seq guards against the slot
-     * having been squashed, re-used, or shifted by compaction. */
+     * having been squashed or re-used since. */
     struct WakeRec
     {
         InstSeqNum seq;
         std::uint32_t idx;
     };
 
-    void compact();
+    bool validRec(const WakeRec &r) const
+    {
+        return entries_[r.idx].inst && entries_[r.idx].seq == r.seq;
+    }
 
     /** Set the awake bit iff the record still names its entry. */
     void wakeValidated(const WakeRec &r)
     {
-        if (r.idx < entries_.size() && entries_[r.idx].inst &&
-            entries_[r.idx].seq == r.seq) {
-            awake_[r.idx >> 6] |= std::uint64_t(1) << (r.idx & 63);
-        }
+        if (validRec(r))
+            setAwake(r.idx);
     }
 
-    static constexpr std::size_t compactThreshold = 32;
+    void setAwake(std::size_t idx)
+    {
+        awake_[idx >> 6] |= std::uint64_t(1) << (idx & 63);
+    }
+    void clearAwake(std::size_t idx)
+    {
+        awake_[idx >> 6] &= ~(std::uint64_t(1) << (idx & 63));
+    }
 
+    const ROB &rob;
     unsigned cap;
     std::size_t live = 0;
-    std::vector<Entry> entries_;  ///< kept in insertion (age) order
-    /** One bit per slot: the scan must visit it (bits past slotCount
-     * are kept zero by squashAfter/compact). */
+    std::vector<Entry> entries_;  ///< indexed by ROB ring slot
+    /** One bit per slot: the scan must visit it. */
     std::vector<std::uint64_t> awake_;
     /** sleepRetry wakes, keyed by due cycle. */
     CompletionWheel<WakeRec> wakeWheel_{256};
-    /** sleepReg wakes, indexed by physical register (grown lazily). */
+    /** sleepReg wakes, indexed by physical register. */
     std::vector<std::vector<WakeRec>> regWaiters_;
+    /** Store-set waits, indexed by the awaited store's ROB slot. */
+    std::vector<std::vector<WakeRec>> storeWaiters_;
 };
 
 } // namespace svw

@@ -18,6 +18,13 @@
  * `head + (seq - headSeq)` is therefore exact in the common dense case
  * (O(1)); a gap only ever moves the target to an *older* slot, so a
  * miss falls back to a binary search of `[head, guess]`.
+ *
+ * Holders that must outlive a possible squash (the completion wheel,
+ * the store-data and eliminated-completion lists) keep a RobRef, the
+ * slot pointer plus the seq it held, and resolve() it in O(1): the slot
+ * must still lie inside the window and still hold that seq. The window
+ * check is required because a popped slot keeps its old contents until
+ * a later push overwrites it.
  */
 
 #ifndef SVW_CPU_ROB_HH
@@ -25,12 +32,21 @@
 
 #include <cstddef>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "base/logging.hh"
 #include "cpu/dyninst.hh"
 
 namespace svw {
+
+/** A reference to a ROB entry that may since have left the window
+ * (ROB::resolve checks it). */
+struct RobRef
+{
+    DynInst *inst;
+    InstSeqNum seq;
+};
 
 /** Age-ordered instruction window. Entries are sorted by seq. */
 class ROB
@@ -96,7 +112,11 @@ class ROB
      * entries themselves (checkpoint recovery's bulk pop; the walk
      * fallback pops per entry). O(log n) binary search on seq.
      */
-    void squashTail(InstSeqNum keepSeq)
+    void squashTail(InstSeqNum keepSeq) { count -= youngerThan(keepSeq); }
+
+    /** Number of entries with seq > @p keepSeq (the suffix a squash
+     * keeping @p keepSeq removes); O(log n). */
+    std::size_t youngerThan(InstSeqNum keepSeq) const
     {
         std::size_t lo = 0, hi = count;
         while (lo < hi) {
@@ -106,7 +126,33 @@ class ROB
             else
                 hi = mid;
         }
-        count = lo;
+        return count - lo;
+    }
+
+    // --- ring-slot view (stable per entry lifetime) -------------------
+    /** Number of ring slots (a power of two >= capacity). */
+    std::size_t ringSlots() const { return slots.size(); }
+    /** Ring slot of a live entry (a reference into this ROB). */
+    std::size_t slotOf(const DynInst &inst) const
+    {
+        return static_cast<std::size_t>(&inst - slots.data());
+    }
+    /** Ring slot of the entry @p idx places behind the head. */
+    std::size_t slotAt(std::size_t idx) const
+    {
+        return (headPos + idx) & mask;
+    }
+    /** Ring slot of the head; age order is ring order from here. */
+    std::size_t headSlot() const { return headPos & mask; }
+
+    static RobRef ref(DynInst &inst) { return RobRef{&inst, inst.seq}; }
+
+    /** The entry @p r names, or nullptr once it left the window
+     * (committed or squashed). O(1). */
+    DynInst *resolve(const RobRef &r) const
+    {
+        const std::size_t off = (slotOf(*r.inst) - headPos) & mask;
+        return off < count && r.inst->seq == r.seq ? r.inst : nullptr;
     }
 
     /** Find by sequence number; O(1) when seqs are dense from the head.
@@ -120,6 +166,10 @@ class ROB
     /** First entry with seq >= @p seq (nullptr if none). */
     DynInst *lowerBound(InstSeqNum seq)
     {
+        return const_cast<DynInst *>(std::as_const(*this).lowerBound(seq));
+    }
+    const DynInst *lowerBound(InstSeqNum seq) const
+    {
         if (count == 0)
             return nullptr;
         const InstSeqNum headSeq = at(0).seq;
@@ -130,7 +180,7 @@ class ROB
         // an index <= offset. Dense fast path: the guess slot hits.
         std::size_t hi = count - 1;
         if (offset <= hi) {
-            DynInst &guess = at(offset);
+            const DynInst &guess = at(offset);
             if (guess.seq == seq)
                 return &guess;
             hi = offset;

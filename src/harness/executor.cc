@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <stdexcept>
 #include <utility>
 
 #include "harness/serialize.hh"
@@ -20,17 +21,32 @@ hostSeconds()
 const Program &
 ProgramCache::get(const std::string &workload, std::uint64_t targetInsts)
 {
+    return get(workload, targetInsts, workloads::cacheKeyAugment(workload));
+}
+
+const Program &
+ProgramCache::get(const std::string &workload, std::uint64_t targetInsts,
+                  const std::string &augment)
+{
     Slot *slot;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        slot = &slots_[std::make_pair(workload, targetInsts)];
+        slot = &slots_[std::make_tuple(workload, targetInsts, augment)];
     }
     // Build outside the map mutex so different programs build in
     // parallel; call_once serializes (and de-duplicates) builders of
     // *this* program. A throwing build leaves the flag unset, so the
     // next get() retries instead of serving an empty slot.
     std::call_once(slot->once, [&] {
-        slot->program.emplace(workloads::make(workload, targetInsts));
+        std::string built;
+        Program prog = workloads::make(workload, targetInsts, built);
+        if (built != augment) {
+            // The trace file was rewritten after the caller read its
+            // augment: this slot's content no longer exists.
+            throw std::runtime_error("workload '" + workload +
+                                     "' changed on disk during the sweep");
+        }
+        slot->program.emplace(std::move(prog));
         // Force the lazy per-instruction predecode table NOW, while
         // this thread still owns the program exclusively: once the
         // slot is published, thread-pool workers share the Program
@@ -222,12 +238,15 @@ processProgramCache()
 }
 
 CellOutcome
-runCell(const SweepCell &cell, ProgramCache &cache, bool profile)
+runCell(const SweepCell &cell, ProgramCache &cache, bool profile,
+        const std::string *augment)
 {
     gCellRuns.fetch_add(1, std::memory_order_relaxed);
     CellOutcome o;
     o.ran = true;
-    const Program &prog = cache.get(cell.workload, cell.targetInsts);
+    const Program &prog =
+        augment ? cache.get(cell.workload, cell.targetInsts, *augment)
+                : cache.get(cell.workload, cell.targetInsts);
 
     RunRequest req;
     req.workload = cell.workload;

@@ -37,6 +37,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 
@@ -115,8 +116,11 @@ std::uint64_t runCellCalls();
 
 /**
  * Per-process cache of built workload programs: each (workload,
- * targetInsts) program is constructed once and shared by reference
- * across every config cell that uses it.
+ * targetInsts, augment) program is constructed once and shared by
+ * reference across every config cell that uses it. The augment
+ * (workloads::cacheKeyAugment) is what makes a "trace:" slot
+ * content-keyed: a rewritten trace file is a different program, in
+ * its own slot, exactly as cellKey treats it.
  *
  * Thread-safe: concurrent get()s for one key build the program exactly
  * once (the others block on its slot), and builds of *different*
@@ -127,8 +131,17 @@ std::uint64_t runCellCalls();
 class ProgramCache
 {
   public:
-    /** Build-or-fetch; the reference stays valid for the cache's
-     * lifetime. */
+    /** Build-or-fetch the program whose content @p augment names (a
+     * sweep passes the augment its cell keys carry). The build reads a
+     * trace file once for both program and augment, and throws if the
+     * file no longer holds that content. The reference stays valid for
+     * the cache's lifetime. */
+    const Program &get(const std::string &workload,
+                       std::uint64_t targetInsts,
+                       const std::string &augment);
+
+    /** Same, for the workload's current content (computes the augment;
+     * for a trace that is one more read of the file). */
     const Program &get(const std::string &workload,
                        std::uint64_t targetInsts);
 
@@ -152,7 +165,8 @@ class ProgramCache
     };
 
     mutable std::mutex mutex_;  ///< guards slots_ (lookup/insert only)
-    std::map<std::pair<std::string, std::uint64_t>, Slot> slots_;
+    std::map<std::tuple<std::string, std::uint64_t, std::string>, Slot>
+        slots_;
     std::atomic<std::uint64_t> builds_{0};
 };
 
@@ -261,10 +275,13 @@ MemoryResultCache &processMemoryResultCache();
 /**
  * Execute one cell in the calling thread. Does not catch: a
  * golden-model mismatch or other fatal propagates to the caller (the
- * session records it as a failed cell).
+ * session records it as a failed cell). @p augment, when given, is the
+ * workload's cacheKeyAugment as the cell's key saw it (null: compute
+ * it from the workload's current content).
  */
 CellOutcome runCell(const SweepCell &cell, ProgramCache &cache,
-                    bool profile = false);
+                    bool profile = false,
+                    const std::string *augment = nullptr);
 
 /** Execute the sweep per @p opts; outcomes merged in spec order. */
 SweepResults runSweep(const SweepSpec &spec, const SweepOptions &opts = {});

@@ -63,10 +63,11 @@ selectCells(const SweepSpec &spec, const SweepOptions &opts)
 /** Run one cell with per-cell containment: a throw fails the cell
  * with the exception text, and the caller lives on. */
 CellOutcome
-runCellContained(const SweepCell &cell, bool profile)
+runCellContained(const SweepCell &cell, bool profile,
+                 const std::string *augment)
 {
     try {
-        return runCell(cell, processProgramCache(), profile);
+        return runCell(cell, processProgramCache(), profile, augment);
     } catch (const std::exception &e) {
         CellOutcome o;
         o.ran = true;
@@ -179,7 +180,9 @@ CellPool::workerMain()
         s.completed_.push_back({idx, {}, true});
         s.wakeDriver();
         lock.unlock();
-        CellOutcome o = runCellContained(s.spec_.cell(idx), s.opts_.profile);
+        const SweepCell &cell = s.spec_.cell(idx);
+        CellOutcome o = runCellContained(cell, s.opts_.profile,
+                                         s.augmentFor(cell.workload));
         lock.lock();
         s.completed_.push_back({idx, std::move(o), false});
         s.wakeDriver();
@@ -276,8 +279,8 @@ SweepSession::probeAndQueue()
         MemoryResultCache &mem = processMemoryResultCache();
         // A trace workload's augment reads and decodes its file:
         // compute it once per distinct workload. Rows keep their
-        // cells together, so the map is consulted once per row.
-        std::map<std::string, std::string> augments;
+        // cells together, so the map is consulted once per row. The
+        // cells then run on the program these augments name.
         const std::pair<const std::string, std::string> *aug = nullptr;
         std::deque<std::size_t> misses;
         for (std::size_t idx : cells) {
@@ -287,7 +290,7 @@ SweepSession::probeAndQueue()
                 continue;
             }
             if (!aug || aug->first != cell.workload) {
-                auto [it, fresh] = augments.try_emplace(cell.workload);
+                auto [it, fresh] = augments_.try_emplace(cell.workload);
                 if (fresh)
                     it->second = workloads::cacheKeyAugment(cell.workload);
                 aug = &*it;
@@ -455,7 +458,9 @@ SweepSession::step()
         const std::size_t idx = pending_.front();
         pending_.pop_front();
         emitStarted(idx);
-        CellOutcome o = runCellContained(spec_.cell(idx), opts_.profile);
+        const SweepCell &cell = spec_.cell(idx);
+        CellOutcome o = runCellContained(cell, opts_.profile,
+                                         augmentFor(cell.workload));
         ++recordedCells_;
         record(idx, std::move(o), CellEventKind::Done);
     }

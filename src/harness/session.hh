@@ -54,6 +54,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -240,6 +241,16 @@ class SweepSession
     std::vector<CellOutcome> outcomes_;
     std::optional<ResultCache> cache_;
     std::vector<std::pair<std::size_t, CellKey>> probed_;
+    /** Workload -> the cacheKeyAugment its probed keys carry. Written
+     * only while probing (before any cell is queued), then read by the
+     * cells' runs, so each builds the program those keys name. */
+    std::map<std::string, std::string> augments_;
+    /** augments_ entry for @p workload (null if it was not probed). */
+    const std::string *augmentFor(const std::string &workload) const
+    {
+        const auto it = augments_.find(workload);
+        return it == augments_.end() ? nullptr : &it->second;
+    }
     /** By cell index, sized only when some cell was probed and
      * missed: the result line each fresh cell's Done event rendered,
      * handed to the memory front at finish(). */

@@ -21,7 +21,7 @@ LoadStoreUnit::searchSq(DynInst &load)
     // (sqm) rather than the DynInst pointers: the search is the hot
     // associative structure of the conventional/NLQ machine, and the
     // mirror keeps it on a few contiguous cache lines.
-    for (std::size_t i = sqm.size(); i-- > 0;) {
+    for (std::size_t i = sqm.size(); i-- > sqHead;) {
         const SqMirrorEntry &st = sqm[i];
         if (st.seq > load.seq)
             continue;
@@ -71,7 +71,8 @@ LoadStoreUnit::storeResolved(DynInst &store)
     // Associative LQ search: oldest younger load that already issued
     // with an overlapping address is a memory-ordering violation.
     ++hot.lqSearches;
-    for (DynInst *ld : lq) {
+    for (std::size_t i = lqHead; i < lq.size(); ++i) {
+        DynInst *ld = lq[i];
         if (ld->seq <= store.seq)
             continue;
         if (!ld->issued || !ld->addrResolved)

@@ -101,7 +101,7 @@ void
 LoadStoreUnit::refreshSqMirror(const DynInst &store)
 {
     // sqm is age-ordered (parallel to sq); locate the slot by seq.
-    auto it = std::lower_bound(sqm.begin(), sqm.end(), store.seq,
+    auto it = std::lower_bound(sqm.begin() + sqHead, sqm.end(), store.seq,
                                [](const SqMirrorEntry &e, InstSeqNum s) {
                                    return e.seq < s;
                                });
@@ -139,18 +139,24 @@ LoadStoreUnit::executeLoad(DynInst &load, Cycle now)
 void
 LoadStoreUnit::commitLoad(const DynInst &load)
 {
-    svw_assert(!lq.empty() && lq.front()->seq == load.seq,
+    svw_assert(lqSize() != 0 && lq[lqHead]->seq == load.seq,
                "LQ commit out of order");
-    lq.erase(lq.begin());
+    if (2 * ++lqHead >= lq.size()) {
+        lq.erase(lq.begin(), lq.begin() + lqHead);
+        lqHead = 0;
+    }
 }
 
 void
 LoadStoreUnit::commitStore(const DynInst &store)
 {
-    svw_assert(!sq.empty() && sq.front()->seq == store.seq,
+    svw_assert(sqSize() != 0 && sq[sqHead]->seq == store.seq,
                "SQ commit out of order");
-    sq.erase(sq.begin());
-    sqm.erase(sqm.begin());
+    if (2 * ++sqHead >= sq.size()) {
+        sq.erase(sq.begin(), sq.begin() + sqHead);
+        sqm.erase(sqm.begin(), sqm.begin() + sqHead);
+        sqHead = 0;
+    }
     if (prm.ssq) {
         // The committed store enters its bank's best-effort forwarding
         // buffer (an 8-entry window in front of the cache bank).
@@ -192,15 +198,14 @@ LoadStoreUnit::squashAfter(InstSeqNum keepSeq)
 {
     // Squashed entries are a suffix (queues are age-ordered): pop while
     // the tail is younger than the squash point.
-    auto prune = [keepSeq](std::vector<DynInst *> &q) {
-        while (!q.empty() && q.back()->seq > keepSeq)
+    auto prune = [keepSeq](std::vector<DynInst *> &q, std::size_t head) {
+        while (q.size() > head && q.back()->seq > keepSeq)
             q.pop_back();
     };
-    prune(lq);
-    prune(sq);
-    prune(fsq);
-    while (!sqm.empty() && sqm.back().seq > keepSeq)
-        sqm.pop_back();
+    prune(lq, lqHead);
+    prune(sq, sqHead);
+    prune(fsq, 0);
+    sqm.resize(sq.size());
     // Best-effort buffers are not cleaned: they are speculative by
     // construction and re-execution verifies every load under SSQ.
 }

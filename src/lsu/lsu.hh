@@ -25,6 +25,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <span>
 #include <vector>
 
 #include "base/types.hh"
@@ -86,8 +87,8 @@ class LoadStoreUnit
     const LsuParams &params() const { return prm; }
 
     // --- dispatch ------------------------------------------------------
-    bool lqFull() const { return lq.size() >= prm.lqEntries; }
-    bool sqFull() const { return sq.size() >= prm.sqEntries; }
+    bool lqFull() const { return lqSize() >= prm.lqEntries; }
+    bool sqFull() const { return sqSize() >= prm.sqEntries; }
     /** FSQ allocation check for a steered store (SSQ). */
     bool fsqFullFor(const DynInst &store) const;
 
@@ -130,25 +131,28 @@ class LoadStoreUnit
     /** Train after a re-execution failure (missed forwarding). */
     void trainSteering(std::uint64_t loadPc, std::uint64_t storePc);
 
-    std::size_t lqSize() const { return lq.size(); }
-    std::size_t sqSize() const { return sq.size(); }
+    std::size_t lqSize() const { return lq.size() - lqHead; }
+    std::size_t sqSize() const { return sq.size() - sqHead; }
     std::size_t fsqSize() const { return fsq.size(); }
 
     /** Youngest in-flight store (nullptr if none); SSN rollback. */
     DynInst *youngestStore() const
     {
-        return sq.empty() ? nullptr : sq.back();
+        return sqSize() == 0 ? nullptr : sq.back();
     }
 
     /** Age-ordered in-flight stores. Checkpoint recovery reads the
      * squashed suffix (before squashAfter prunes it) to release the
      * stores' LFST claims without walking the ROB. */
-    const std::vector<DynInst *> &storeQueue() const { return sq; }
+    std::span<DynInst *const> storeQueue() const
+    {
+        return std::span<DynInst *const>(sq).subspan(sqHead);
+    }
 
     /** Seq of the youngest in-flight store (0 if none). */
     InstSeqNum youngestStoreSeq() const
     {
-        return sq.empty() ? 0 : sq.back()->seq;
+        return sqSize() == 0 ? 0 : sq.back()->seq;
     }
 
   public:
@@ -227,9 +231,15 @@ class LoadStoreUnit
     MemoryImage &committed;
     SvwUnit &svw;
 
-    std::vector<DynInst *> lq;   ///< age-ordered in-flight loads
-    std::vector<DynInst *> sq;   ///< age-ordered in-flight stores
+    /** Age-ordered in-flight loads and stores live at [lqHead, end)
+     * and [sqHead, end): retirement advances the head, and the retired
+     * prefix is erased once it is as long as the live part, so a
+     * retirement moves O(1) entries amortized. */
+    std::vector<DynInst *> lq;
+    std::vector<DynInst *> sq;
     std::vector<SqMirrorEntry> sqm;  ///< dense searchSq mirror of sq
+    std::size_t lqHead = 0;
+    std::size_t sqHead = 0;          ///< shared by sq and sqm
     std::vector<DynInst *> fsq;  ///< subset of sq steered to the FSQ
 
     std::vector<std::deque<FwdBufEntry>> fwdBufs;  ///< per cache bank

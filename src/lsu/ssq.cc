@@ -16,20 +16,10 @@ LoadStoreUnit::searchSsq(DynInst &load, Cycle now)
 {
     LoadExecResult res;
 
-    // Note ambiguous older stores for statistics/NLQ composition; the
-    // SSQ itself marks every load regardless.
-    for (auto it = sq.rbegin(); it != sq.rend(); ++it) {
-        DynInst *st = *it;
-        if (st->seq > load.seq)
-            continue;
-        if (!st->addrResolved) {
-            res.sawAmbiguousOlderStore = true;
-            break;
-        }
-    }
-
     if (load.fsqLoad) {
-        // One FSQ search per cycle.
+        // One FSQ search per cycle. A port-blocked load retries next
+        // cycle and its result is discarded, so it is turned away
+        // before any search work.
         if (now != fsqPortCycle) {
             fsqPortCycle = now;
             fsqPortUsed = 0;
@@ -39,6 +29,21 @@ LoadStoreUnit::searchSsq(DynInst &load, Cycle now)
             return res;
         }
         ++fsqPortUsed;
+    }
+
+    // Note ambiguous older stores for statistics/NLQ composition; the
+    // SSQ itself marks every load regardless. Read from the dense SQ
+    // mirror (addrOk is refreshed whenever a store's address resolves).
+    for (std::size_t i = sqHead; i < sqm.size(); ++i) {
+        if (sqm[i].seq > load.seq)
+            break;
+        if (!sqm[i].addrOk) {
+            res.sawAmbiguousOlderStore = true;
+            break;
+        }
+    }
+
+    if (load.fsqLoad) {
 
         // Youngest-first search of FSQ stores older than the load.
         for (auto it = fsq.rbegin(); it != fsq.rend(); ++it) {

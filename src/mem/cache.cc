@@ -1,5 +1,7 @@
 #include "mem/cache.hh"
 
+#include <algorithm>
+
 #include "base/intmath.hh"
 #include "base/logging.hh"
 
@@ -26,9 +28,13 @@ Cache::Cache(std::string name, const CacheParams &p, stats::StatRegistry &reg)
                "cache associativity must be 1..256");
     const std::size_t n = static_cast<std::size_t>(numSets) * p.assoc;
     tags.assign(n, 0);
+    // Every set starts ranked 0..assoc-1 by way: build one set's ranks
+    // and copy it set by set (no per-line division).
     ranks.resize(n);
-    for (std::size_t i = 0; i < n; ++i)
-        ranks[i] = static_cast<std::uint8_t>(i % p.assoc);
+    for (unsigned w = 0; w < p.assoc; ++w)
+        ranks[w] = static_cast<std::uint8_t>(w);
+    for (std::size_t b = p.assoc; b < n; b += p.assoc)
+        std::copy_n(ranks.begin(), p.assoc, ranks.begin() + b);
 }
 
 unsigned

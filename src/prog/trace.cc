@@ -410,16 +410,31 @@ writeFile(const std::string &path, const TraceData &t)
         svw_fatal("failed writing trace file '", path, "'");
 }
 
-TraceData
-readFile(const std::string &path)
+namespace {
+
+/** Read and fully verify @p path (fatal on a defect); @return the
+ * payload checksum stored in its tail (decodeFile verified it matches
+ * the payload, so it is the payload's content identity). */
+std::uint64_t
+readVerified(const std::string &path, TraceData &t)
 {
     std::vector<std::uint8_t> file;
     std::string err;
     if (!readWhole(path, file, err))
         svw_fatal(err);
-    TraceData t;
     if (!decodeFile(file, t, err))
         svw_fatal("trace file '", path, "': ", err);
+    Reader tail{file.data() + file.size() - 8, 8};
+    return tail.u64();
+}
+
+} // namespace
+
+TraceData
+readFile(const std::string &path)
+{
+    TraceData t;
+    readVerified(path, t);
     return t;
 }
 
@@ -438,9 +453,12 @@ probeFile(const std::string &path, std::string &err)
 }
 
 Program
-loadProgram(const std::string &path)
+loadProgram(const std::string &path, std::uint64_t *checksum)
 {
-    TraceData t = readFile(path);
+    TraceData t;
+    const std::uint64_t sum = readVerified(path, t);
+    if (checksum)
+        *checksum = sum;
     Program prog = std::move(t.program);
     prog.setName("trace:" + path);
     prog.validate();
@@ -450,17 +468,8 @@ loadProgram(const std::string &path)
 std::uint64_t
 fileChecksum(const std::string &path)
 {
-    std::vector<std::uint8_t> file;
-    std::string err;
-    if (!readWhole(path, file, err))
-        svw_fatal(err);
     TraceData t;
-    if (!decodeFile(file, t, err))
-        svw_fatal("trace file '", path, "': ", err);
-    // decodeFile verified the trailing checksum matches the payload, so
-    // the stored value is the payload's content identity.
-    Reader tail{file.data() + file.size() - 8, 8};
-    return tail.u64();
+    return readVerified(path, t);
 }
 
 } // namespace svw::trace

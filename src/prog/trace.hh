@@ -81,9 +81,12 @@ bool probeFile(const std::string &path, std::string &err);
 
 /**
  * The workload-registry entry point: reconstruct the Program from
- * @p path, named "trace:<path>". Fatal on a bad file.
+ * @p path, named "trace:<path>". Fatal on a bad file. When
+ * @p checksum is given it receives fileChecksum's value taken from the
+ * same read, so the program and its content identity always agree.
  */
-Program loadProgram(const std::string &path);
+Program loadProgram(const std::string &path,
+                    std::uint64_t *checksum = nullptr);
 
 /**
  * Content identity of the trace for the persistent ResultCache: the

@@ -116,18 +116,43 @@ isKnown(const std::string &name)
     return validate(name, err);
 }
 
+namespace {
+
+/** A trace workload's augment for payload checksum @p sum. */
 std::string
-cacheKeyAugment(const std::string &name)
+traceAugment(std::uint64_t sum)
 {
-    if (!hasPrefix(name, tracePrefix))
-        return "";
-    std::uint64_t sum =
-        trace::fileChecksum(name.substr(std::strlen(tracePrefix)));
     std::ostringstream os;
     os << "|trace.version=" << trace::traceVersion
        << "|trace.payload=" << std::hex << std::setfill('0') << std::setw(16)
        << sum;
     return os.str();
+}
+
+} // namespace
+
+std::string
+cacheKeyAugment(const std::string &name)
+{
+    if (!hasPrefix(name, tracePrefix))
+        return "";
+    return traceAugment(
+        trace::fileChecksum(name.substr(std::strlen(tracePrefix))));
+}
+
+Program
+make(const std::string &name, std::uint64_t targetInsts,
+     std::string &augment)
+{
+    if (!hasPrefix(name, tracePrefix)) {
+        augment.clear();
+        return make(name, targetInsts);
+    }
+    std::uint64_t sum = 0;
+    Program prog =
+        trace::loadProgram(name.substr(std::strlen(tracePrefix)), &sum);
+    augment = traceAugment(sum);
+    return prog;
 }
 
 Program

@@ -54,6 +54,12 @@ const std::vector<std::string> &synthSuiteNames();
  */
 Program make(const std::string &name, std::uint64_t targetInsts);
 
+/** make() that also sets @p augment to cacheKeyAugment(@p name),
+ * computed from the same read of a trace file as the program, so the
+ * two always describe the same file content. */
+Program make(const std::string &name, std::uint64_t targetInsts,
+             std::string &augment);
+
 /**
  * True if @p name resolves to a buildable workload. For "synth:" names
  * this parses the full recipe; for "trace:" names it opens and verifies

@@ -181,6 +181,43 @@ RexEngine::tick(ROB &rob, RenameState &rename, Cycle now)
     }
 }
 
+Cycle
+RexEngine::idleUntil(const ROB &rob, const RenameState &rename, Cycle now,
+                     bool &bufferStall) const
+{
+    constexpr Cycle never = ~Cycle(0);
+    if (!prm.enabled)
+        return never;
+    const DynInst *inst = rob.lowerBound(rexNextSeq);
+    if (!inst || !inst->isMem())
+        return inst ? now : never;
+    if (inst->isStore()) {
+        if (!inst->addrResolved || !inst->completed)
+            return never;
+        if (storeBuffer.size() >= prm.storeBufferEntries) {
+            bufferStall = true;
+            return never;  // until a store commits
+        }
+        return now;
+    }
+    if (inst->eliminated) {
+        const PhysRegFile &f = rename.regs();
+        const Cycle ready = std::max(f.readyAt(inst->prs1),
+                                     f.readyAt(inst->prd));
+        if (ready > now)
+            return ready;
+    } else if (!inst->completed) {
+        return never;
+    }
+    if (!inst->marked())
+        return now;
+    if (svw.enabled() && !svw.config().speculativeSsbfUpdate &&
+        !storeBuffer.empty()) {
+        return never;  // until the buffered stores commit
+    }
+    return now;
+}
+
 void
 RexEngine::reExecuteLoad(DynInst &load, Cycle now)
 {

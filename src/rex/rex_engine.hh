@@ -94,6 +94,22 @@ class RexEngine
     /** True if @p seq already passed the rex SVW stage. */
     bool processed(InstSeqNum seq) const { return seq < rexNextSeq; }
 
+    /**
+     * Earliest cycle at or after @p now at which tick() can change
+     * state; ~Cycle(0) when it waits on another stage (a completion,
+     * an issue, a commit). Mirrors tick()'s first step. Sets
+     * @p bufferStall when tick() would count a storeBufferStalls cycle
+     * at every cycle until then.
+     */
+    Cycle idleUntil(const ROB &rob, const RenameState &rename, Cycle now,
+                    bool &bufferStall) const;
+
+    /** Account @p n skipped cycles of a full-store-buffer stall. */
+    void countStoreBufferStalls(std::uint64_t n)
+    {
+        hot.storeBufferStalls += n;
+    }
+
   public:
     stats::Scalar loadsMarked;
     stats::Scalar loadsReExecuted;

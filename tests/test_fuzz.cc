@@ -17,6 +17,7 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <sstream>
 #include <stdexcept>
 
 #include "base/random.hh"
@@ -219,6 +220,60 @@ TEST_P(SynthDifferential, CoreMatchesInterpreterAcrossSeeds)
 
 INSTANTIATE_TEST_SUITE_P(
     AllKinds, SynthDifferential,
+    ::testing::Range<std::size_t>(0, synth::kindNames().size()),
+    [](const ::testing::TestParamInfo<std::size_t> &info) {
+        return synth::kindNames()[info.param];
+    });
+
+// ---------------------------------------------------------------------
+// Dead-cycle skipping differential: Core::run skips runs of cycles in
+// which no stage can act unless a per-cycle hook is attached. A core
+// with a no-op hook ticks every cycle, so it is the reference: over
+// every synth kind and seed (SVW_FUZZ_SEEDS widens the range), under
+// the rotated aggressive configs, both must end at the same cycle with
+// byte-identical stat registries (every counter and distribution).
+// ---------------------------------------------------------------------
+
+class DeadCycleDifferential : public ::testing::TestWithParam<std::size_t>
+{
+};
+
+TEST_P(DeadCycleDifferential, SkippingCoreMatchesTickingCore)
+{
+    const std::string kind = synth::kindNames()[GetParam()];
+    const unsigned seeds = fuzzSeedCount();
+    const auto &configs = aggressiveConfigs();
+
+    for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
+        synth::SynthParams p;
+        p.kind = kind;
+        p.seed = seed;
+        const std::string name = synth::canonicalName(p);
+        Program prog = workloads::make(name, 3'000);
+        const auto &[cfgName, cfg] = configs[seed % configs.size()];
+
+        auto runCore = [&](bool ticking, std::uint64_t &cycles) {
+            stats::StatRegistry reg;
+            Core core(buildParams(cfg), prog, reg);
+            if (ticking)
+                core.perCycleHook = [](Core &) {};
+            const RunOutcome out = core.run(~0ull, 3'000'000);
+            EXPECT_TRUE(out.halted) << name << " config " << cfgName;
+            cycles = out.cycles;
+            std::ostringstream os;
+            reg.printAll(os);
+            return os.str();
+        };
+        std::uint64_t skipCycles = 0, tickCycles = 0;
+        const std::string skipped = runCore(false, skipCycles);
+        const std::string ticked = runCore(true, tickCycles);
+        ASSERT_EQ(skipCycles, tickCycles) << name << " config " << cfgName;
+        ASSERT_EQ(skipped, ticked) << name << " config " << cfgName;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllKinds, DeadCycleDifferential,
     ::testing::Range<std::size_t>(0, synth::kindNames().size()),
     [](const ::testing::TestParamInfo<std::size_t> &info) {
         return synth::kindNames()[info.param];

@@ -304,8 +304,8 @@ TEST(Rob, ReferencesStableAcrossPush)
 
 TEST(Iq, InsertRemoveSquash)
 {
-    IssueQueue iq(8);
     ROB rob(8);
+    IssueQueue iq(8, rob, 64);
     DynInst &a = rob.push(mkInst(1));
     DynInst &b = rob.push(mkInst(2));
     DynInst &c = rob.push(mkInst(3));
@@ -330,8 +330,8 @@ TEST(Iq, InsertRemoveSquash)
 
 TEST(Iq, FullReflectsCapacity)
 {
-    IssueQueue iq(2);
     ROB rob(4);
+    IssueQueue iq(2, rob, 64);
     DynInst &a = rob.push(mkInst(1));
     DynInst &b = rob.push(mkInst(2));
     iq.insert(&a);

@@ -21,6 +21,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cstdio>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -30,6 +31,8 @@
 #include "harness/figures.hh"
 #include "harness/serialize.hh"
 #include "harness/sweep.hh"
+#include "prog/trace.hh"
+#include "prog/workloads/workloads.hh"
 #include "service/http.hh"
 #include "service/server.hh"
 
@@ -285,6 +288,48 @@ TEST_F(SweepdTest, StreamedResultsMatchEngineByteForByte)
     const std::string body = decodeChunkedBody(resp);
     EXPECT_EQ(streamResultLines(body), expect);
     EXPECT_NE(body.find("\"event\":\"finished\""), std::string::npos);
+}
+
+TEST_F(SweepdTest, RewrittenTraceIsSimulatedFromItsNewContent)
+{
+    // A long-lived daemon, one trace path, two recordings: the second
+    // request must stream what a fresh process computes from the new
+    // file, not the first recording's results under the new key.
+    const std::string path =
+        ::testing::TempDir() + "sweepd_rewritten.svwtrace";
+    const std::string name = "trace:" + path;
+    auto record = [&path](const std::string &workload) {
+        const Program prog = workloads::make(workload, 3'000);
+        trace::writeFile(path, trace::record(prog, workload, 100'000'000));
+    };
+    auto freshLines = [&name] {
+        const harness::SweepSpec spec = harness::fig7Spec({name}, 3'000);
+        const Program prog = workloads::make(name, 3'000);
+        std::vector<std::string> lines;
+        for (const harness::SweepCell &c : spec.cells()) {
+            harness::RunRequest req;
+            req.workload = c.workload;
+            req.targetInsts = c.targetInsts;
+            req.config = c.config;
+            req.goldenCheck = c.goldenCheck;
+            lines.push_back(
+                harness::runResultToJson(harness::runOne(req, prog)));
+        }
+        return lines;
+    };
+    const std::string req = "figure=fig7&insts=3000&bench=" + name;
+
+    record("gzip");
+    const std::vector<std::string> first =
+        streamResultLines(decodeChunkedBody(postSweep(port(), req)));
+    EXPECT_EQ(first, freshLines());
+
+    record("mcf");
+    const std::vector<std::string> second =
+        streamResultLines(decodeChunkedBody(postSweep(port(), req)));
+    EXPECT_EQ(second, freshLines());
+    EXPECT_NE(second, first);
+    std::remove(path.c_str());
 }
 
 TEST_F(SweepdTest, WarmRepeatRequestSimulatesNothing)

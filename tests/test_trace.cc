@@ -15,6 +15,8 @@
 
 #include "func/interp.hh"
 #include "harness/figures.hh"
+#include "harness/runner.hh"
+#include "harness/serialize.hh"
 #include "harness/session.hh"
 #include "prog/trace.hh"
 #include "prog/workloads/workloads.hh"
@@ -267,6 +269,53 @@ TEST(TraceFile, ChecksumTracksContent)
         EXPECT_NE(harness::cellKey(row.cell(i)).material(), before[i])
             << row.cell(i).name();
     EXPECT_EQ(cacheHits(), 0u);
+    std::remove(path.c_str());
+}
+
+TEST(TraceFile, RewrittenTraceIsSimulatedFromItsNewContent)
+{
+    // One process, one path, two recordings: the second sweep must
+    // simulate the file's new content. Its lines must equal a fresh
+    // process's, i.e. each cell run directly on a freshly loaded
+    // program, and they differ from the first recording's.
+    const std::string path = tempPath("rewritten.svwtrace");
+    const std::string name = "trace:" + path;
+    const harness::SweepSpec row = harness::fig7Spec({name}, 3'000);
+    harness::SweepOptions opts;
+    opts.memCache = true;
+    auto sweepLines = [&row, &opts] {
+        harness::SweepSession session(row, opts);
+        const harness::SweepResults res = session.run();
+        std::vector<std::string> lines;
+        for (std::size_t i = 0; i < row.size(); ++i) {
+            EXPECT_TRUE(res.outcome(i).ok) << res.outcome(i).error;
+            lines.push_back(harness::runResultToJson(res.outcome(i).result));
+        }
+        return lines;
+    };
+    auto freshLines = [&row, &name] {
+        const Program prog = workloads::make(name, 3'000);
+        std::vector<std::string> lines;
+        for (const harness::SweepCell &c : row.cells()) {
+            harness::RunRequest req;
+            req.workload = c.workload;
+            req.targetInsts = c.targetInsts;
+            req.config = c.config;
+            req.goldenCheck = c.goldenCheck;
+            lines.push_back(
+                harness::runResultToJson(harness::runOne(req, prog)));
+        }
+        return lines;
+    };
+
+    trace::writeFile(path, recordKernel("gzip", 3'000));
+    const std::vector<std::string> first = sweepLines();
+    EXPECT_EQ(first, freshLines());
+
+    trace::writeFile(path, recordKernel("mcf", 3'000));
+    const std::vector<std::string> second = sweepLines();
+    EXPECT_EQ(second, freshLines());
+    EXPECT_NE(second, first);
     std::remove(path.c_str());
 }
 
